@@ -227,8 +227,8 @@ def flat_weights(space: DiscreteProbabilitySpace, point_dim: int) -> np.ndarray:
     return np.repeat(space.weights, point_dim)
 
 
-def unflatten(space: DiscreteProbabilitySpace, p: HilbertPoint) -> BochnerFunction:
-    """Inverse of :func:`flatten`; the per-atom dimension is inferred."""
+def _flat_point_dim(space: DiscreteProbabilitySpace, p: HilbertPoint) -> int:
+    """Per-atom dimension of a flattened point, after the checks of :func:`unflatten`."""
     k = space.n_atoms
     if p.dim % k != 0 or p.dim == 0:
         raise DimensionMismatch(
@@ -241,7 +241,12 @@ def unflatten(space: DiscreteProbabilitySpace, p: HilbertPoint) -> BochnerFuncti
             raise WeightMismatch("flattened point must carry the repeated atom weights")
     elif not np.array_equal(p.weights, expected):
         raise WeightMismatch("flattened weights do not match the space's atom weights")
-    blocks = p.coeffs.reshape(k, d)
+    return d
+
+
+def unflatten(space: DiscreteProbabilitySpace, p: HilbertPoint) -> BochnerFunction:
+    """Inverse of :func:`flatten`; the per-atom dimension is inferred."""
+    blocks = p.coeffs.reshape(space.n_atoms, _flat_point_dim(space, p))
     return BochnerFunction(space, tuple(HilbertPoint(row) for row in blocks))
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ZeroVertex,
 )
 from .oracle import fd_derivative, property_battery
-from .projection import distance, project
+from .projection import _gap, project
 from .sets import ClosedBall, classify_point, in_inverse_image, is_bochner_set
 
 _DIM_ERRORS = (DimensionMismatch, WeightMismatch, SpaceMismatch)
@@ -108,16 +108,15 @@ def _cmd_project(args):
         for i, entry in enumerate(obj):
             try:
                 x = _decode_point_for(s, entry)
-                payload["projections"].append(jsonio.encode_value(project(s, x)))
-                payload["distances"].append(distance(s, x))
+                u = project(s, x)
+                payload["projections"].append(jsonio.encode_value(u))
+                payload["distances"].append(_gap(x, u))
             except (InputError, *(_DIM_ERRORS)) as e:
                 raise type(e)(f"element {i}: {e}") from None
         return 0, payload
     x = _decode_point_for(s, obj)
-    return 0, {
-        "projection": jsonio.encode_value(project(s, x)),
-        "distance": distance(s, x),
-    }
+    u = project(s, x)
+    return 0, {"projection": jsonio.encode_value(u), "distance": _gap(x, u)}
 
 
 def _cmd_derive(args):
@@ -285,6 +284,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if not (np.isfinite(args.tol) and args.tol >= 0.0):
+            raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
         code, payload = args.handler(args)
     except _DIM_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

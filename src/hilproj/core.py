@@ -91,6 +91,37 @@ class HilbertPoint:
         return f"HilbertPoint({self.coeffs.tolist()}, weights={self.weights.tolist()})"
 
 
+def _points_from_rows(rows, weights=None) -> list:
+    """One point per row of a 2-D array, all sharing one weighting.
+
+    Applies the checks of ``HilbertPoint.__post_init__`` once to the whole
+    matrix instead of once per row, with the same messages. Every point's
+    coefficients are a read-only row of one private copy of ``rows``.
+    """
+    rows = np.array(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("coeffs must be one-dimensional")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("coeffs must be finite")
+    rows.setflags(write=False)
+    if weights is not None:
+        weights = np.array(weights, dtype=np.float64)
+        if weights.shape != rows.shape[1:]:
+            raise ValueError("weights must match coeffs in length")
+        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
+            raise ValueError("weights must be finite and strictly positive")
+        weights.setflags(write=False)
+    new = object.__new__
+    out = []
+    for row in rows:
+        p = new(HilbertPoint)
+        fields = p.__dict__
+        fields["coeffs"] = row
+        fields["weights"] = weights
+        out.append(p)
+    return out
+
+
 def zeros_like(x: HilbertPoint) -> HilbertPoint:
     return HilbertPoint(np.zeros(x.dim), x.weights)
 

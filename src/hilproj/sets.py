@@ -29,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bochner as bo
-from .core import DEFAULT_TOL, HilbertPoint, inner, norm, same_weights, zeros_like
+from .core import (
+    DEFAULT_TOL,
+    HilbertPoint,
+    _check_compatible,
+    inner,
+    norm,
+    same_weights,
+    zeros_like,
+)
 from .errors import (
     DimensionMismatch,
     NotInSet,
@@ -115,6 +123,9 @@ class SubspaceSpan:
                         f"generators {i},{j} not orthonormal: <u,w>={inner(u, w)}"
                     )
         object.__setattr__(self, "ambient_dim", d)
+        basis = np.stack([u.coeffs for u in gens])
+        basis.setflags(write=False)
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def dim(self) -> int:
@@ -157,10 +168,22 @@ def is_bochner_set(s) -> bool:
 def as_function(s, x) -> bo.BochnerFunction:
     """Normalize a Bochner-set argument to a BochnerFunction."""
     if isinstance(x, bo.BochnerFunction):
-        if not x.space.same_space(s.space):
-            raise DimensionMismatch("function lives over a different probability space")
+        _check_space(s, x)
         return x
     return bo.unflatten(s.space, x)
+
+
+def _atom_dim(s, x) -> int:
+    """Per-atom dimension of a Bochner-set argument, checked as :func:`as_function` checks it."""
+    if isinstance(x, bo.BochnerFunction):
+        _check_space(s, x)
+        return x.point_dim
+    return bo._flat_point_dim(s.space, x)
+
+
+def _check_space(s, f: bo.BochnerFunction):
+    if not f.space.same_space(s.space):
+        raise DimensionMismatch("function lives over a different probability space")
 
 
 def _check_dim(s, x: HilbertPoint):
@@ -170,10 +193,16 @@ def _check_dim(s, x: HilbertPoint):
 
 def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
     """Sum of <x, u_i> u_i over the generators."""
-    acc = zeros_like(x)
-    for u in s.generators:
-        acc = acc + inner(x, u) * u
-    return acc
+    if s.is_singleton:
+        return zeros_like(x)
+    _check_compatible(x, s.generators[0])
+    return x.replace_coeffs(_span_rows(s, x.coeffs))
+
+
+def _span_rows(s: SubspaceSpan, rows: np.ndarray) -> np.ndarray:
+    """(X W G^T) G for the stacked generators G: the span component of each row."""
+    w = s.generators[0].weights
+    return ((rows if w is None else rows * w) @ s._basis.T) @ s._basis
 
 
 def contains(s, x, tol: float = DEFAULT_TOL) -> bool:
@@ -398,8 +427,7 @@ def _member_matrix(s, n: int, rng, include=()) -> tuple:
         if s.is_singleton:
             z = np.zeros((n, s.dim))
         else:
-            basis = np.stack([u.coeffs for u in s.generators])
-            z = rng.uniform(-4.0, 4.0, (n, len(basis))) @ basis
+            z = rng.uniform(-4.0, 4.0, (n, s.n_generators)) @ s._basis
         weights = s.generators[0].weights if s.generators else None
     elif isinstance(s, (BochnerPointwiseCone, BochnerConstantSubspace)):
         if reference is None:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import hilproj.cli
+import hilproj.projection
 from hilproj.cli import main
 
 UNIT_BALL = '{"type":"ball","center":{"coeffs":[0,0]},"radius":1}'
@@ -37,6 +39,49 @@ def test_project_batch(capsys):
     assert payload["projections"][0]["coeffs"] == [1, 0]
     assert payload["projections"][1]["coeffs"] == [0.3, 0.4]
     assert payload["distances"] == [1, 0]
+
+
+def test_project_batch_projects_each_point_once(capsys, monkeypatch):
+    calls = []
+    real = hilproj.cli.project
+
+    def counting(s, x):
+        calls.append(x)
+        return real(s, x)
+
+    # distance() would reach projection.project; count calls from either module
+    monkeypatch.setattr(hilproj.cli, "project", counting)
+    monkeypatch.setattr(hilproj.projection, "project", counting)
+    points = json.dumps([{"coeffs": [0.5 * i, 1.0 - 0.25 * i]} for i in range(10)])
+    code, out, _ = run_cli(capsys, "project", "--set", UNIT_BALL, "--batch", "--point", points)
+    assert code == 0
+    assert len(calls) == 10
+    assert len(json.loads(out)["distances"]) == 10
+    calls.clear()
+    code, out, _ = run_cli(capsys, "project", "--set", UNIT_BALL, "--point", '{"coeffs":[2,0]}')
+    assert code == 0
+    assert len(calls) == 1
+    assert out.strip() == '{"projection":{"coeffs":[1,0]},"distance":1}'
+
+
+def test_invalid_tol_exits_2(capsys):
+    verbs = (
+        ("classify", "--point", '{"coeffs":[0,0]}'),
+        ("derive", "--point", '{"coeffs":[2,0]}', "--direction", '{"coeffs":[0,1]}'),
+    )
+    for verb in verbs:
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, *verb[:1], "--set", UNIT_BALL, *verb[1:],
+                                     "--tol", tol)
+            assert code == 2
+            assert out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "--tol" in lines[0]
+    code, out, _ = run_cli(capsys, "classify", "--set", UNIT_BALL,
+                           "--point", '{"coeffs":[0,0]}', "--tol", "0")
+    assert code == 0
+    assert json.loads(out) == {"point_class": "Internal"}
 
 
 def test_project_batch_reports_offending_element(capsys):

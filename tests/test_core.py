@@ -20,6 +20,7 @@ from hilproj import (
     norm_directional_derivative,
     zeros_like,
 )
+from hilproj.core import _points_from_rows
 
 
 def pt(*coeffs, weights=None):
@@ -36,6 +37,39 @@ def test_point_validation():
         HilbertPoint(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         HilbertPoint(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def test_points_from_rows_checks_the_matrix_like_the_constructor():
+    bad = [
+        ((np.array([1.0, 2.0]), None), (np.array([[1.0, 2.0]]), None)),
+        ((np.array([[1.0], [np.nan]]), None), (np.array([np.nan]), None)),
+        ((np.array([[1.0], [2.0]]), np.array([0.0])), (np.array([1.0]), np.array([0.0]))),
+        ((np.array([[1.0], [2.0]]), np.array([1.0, 2.0])),
+         (np.array([1.0]), np.array([1.0, 2.0]))),
+        ((np.array([[1.0], [2.0]]), np.array([np.inf])), (np.array([1.0]), np.array([np.inf]))),
+    ]
+    for (rows, w), (coeffs, pw) in bad:
+        with pytest.raises(ValueError) as batch:
+            _points_from_rows(rows, w)
+        with pytest.raises(ValueError) as single:
+            HilbertPoint(coeffs, pw)
+        assert str(batch.value) == str(single.value)
+
+
+def test_points_from_rows_are_read_only_copies():
+    src = np.array([[1.0, 2.0], [3.0, 4.0]])
+    w = np.array([0.5, 2.0])
+    points = _points_from_rows(src, w)
+    src[0, 0] = 9.0
+    w[0] = 9.0
+    assert [p.coeffs.tolist() for p in points] == [[1.0, 2.0], [3.0, 4.0]]
+    assert points[0].weights.tolist() == [0.5, 2.0]
+    for p in points:
+        with pytest.raises(ValueError):
+            p.coeffs[0] = 5.0
+        with pytest.raises(ValueError):
+            p.weights[0] = 5.0
+    assert inner(points[0], points[1]) == 0.5 * 3.0 + 2.0 * 8.0
 
 
 def test_points_are_immutable():

@@ -21,6 +21,7 @@ from hilproj import (
     project,
     project_sequence,
     sample_points,
+    WeightMismatch,
 )
 
 
@@ -211,3 +212,168 @@ def test_project_sequence_matches_single_calls():
 def test_project_sequence_reports_element_index():
     with pytest.raises(DimensionMismatch, match="element 1"):
         project_sequence(UNIT_BALL, [pt(2.0, 0.0), pt(1.0, 0.0, 0.0)])
+
+
+def as_rows(points):
+    """Coefficients of a project_sequence result, Bochner functions flattened."""
+    return np.array([
+        np.concatenate([v.coeffs for v in p.values]) if isinstance(p, BochnerFunction)
+        else p.coeffs for p in points
+    ])
+
+
+def assert_same_point(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, BochnerFunction):
+        assert len(got.values) == len(want.values)
+        for g, w in zip(got.values, want.values):
+            assert_same_point(g, w)
+        return
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert (got.weights is None) == (want.weights is None)
+    if want.weights is not None:
+        assert np.array_equal(got.weights, want.weights)
+
+
+def test_project_sequence_ball_bitwise():
+    rng = np.random.default_rng(30)
+    for d, weights in ((2, None), (7, None), (50, None), (50, rng.uniform(0.2, 3.0, 50))):
+        c = HilbertPoint(rng.uniform(-1.0, 1.0, d), weights)
+        ball = ClosedBall(c, 1.7)
+        xs = []
+        for t in rng.uniform(0.0, 2.5, 60):
+            g = rng.standard_normal(d)
+            xs.append(c + (t * 1.7 / norm(HilbertPoint(g, weights))) * HilbertPoint(g, weights))
+        # on the sphere and inside the 1e-12 identity band
+        u = xs[0] - c
+        for scale in (1.0, 1.0 + 1e-13, 1.0 + 5e-13, 1.0 + 1e-11):
+            xs.append(c + (scale * 1.7 / norm(u)) * u)
+        xs.append(c)
+        batch = project_sequence(ball, xs)
+        for x, got in zip(xs, batch):
+            want = project(ball, x)
+            assert_same_point(got, want)
+            if want is x:
+                assert got is x
+
+
+def test_project_sequence_cone_bitwise_with_mixed_weights():
+    rng = np.random.default_rng(31)
+    w1, w2 = rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6)
+    xs = [HilbertPoint(rng.uniform(-3.0, 3.0, 6), (None, w1, w2, w1.copy())[i % 4])
+          for i in range(40)]
+    batch = project_sequence(PositiveCone(6), xs)
+    for x, got in zip(xs, batch):
+        assert_same_point(got, project(PositiveCone(6), x))
+
+
+def test_project_sequence_bochner_mirrors_each_form():
+    rng = np.random.default_rng(32)
+    sp = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    xs = []
+    for i in range(12):
+        d = 2 if i % 3 else 4  # two per-atom dimensions in one batch
+        vals = rng.uniform(-3.0, 3.0, (3, d))
+        if i % 2:
+            xs.append(BochnerFunction(sp, tuple(HilbertPoint(v) for v in vals)))
+        else:
+            xs.append(HilbertPoint(vals.ravel(), flat_weights(sp, d)))
+    cone, constants = BochnerPointwiseCone(sp), BochnerConstantSubspace(sp)
+    for x, got in zip(xs, project_sequence(cone, xs)):
+        assert_same_point(got, project(cone, x))
+    for x, got in zip(xs, project_sequence(constants, xs)):
+        want = project(constants, x)
+        assert type(got) is type(want)
+        assert as_rows([got]).shape == as_rows([want]).shape
+        scale = max(1.0, float(np.max(np.abs(as_rows([x])))))
+        assert np.max(np.abs(as_rows([got]) - as_rows([want]))) <= 1e-12 * scale
+        if isinstance(want, HilbertPoint):
+            assert np.array_equal(got.weights, want.weights)
+
+
+def test_project_sequence_span_matches_single_calls():
+    rng = np.random.default_rng(33)
+    w = rng.uniform(0.5, 2.0, 8)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+    weighted = SubspaceSpan(tuple(HilbertPoint(col / np.sqrt(w), w) for col in q.T))
+    plain = SubspaceSpan(tuple(HilbertPoint(col) for col in q.T))
+    for s, weights in ((plain, None), (weighted, w)):
+        xs = [HilbertPoint(rng.uniform(-5.0, 5.0, 8) * 10.0 ** rng.integers(-3, 4), weights)
+              for _ in range(30)]
+        for x, got in zip(xs, project_sequence(s, xs)):
+            want = project(s, x)
+            assert (got.weights is None) == (weights is None)
+            if weights is not None:
+                assert np.array_equal(got.weights, want.weights)
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * max(
+                1.0, float(np.max(np.abs(x.coeffs))))
+    singleton = SubspaceSpan((), ambient_dim=3)
+    xs = [pt(1.0, 2.0, 3.0), pt(4.0, 5.0, 6.0, weights=(1.0, 2.0, 3.0))]
+    for x, got in zip(xs, project_sequence(singleton, xs)):
+        assert_same_point(got, project(singleton, x))
+
+
+def test_project_sequence_outputs_are_read_only():
+    sp = DiscreteProbabilitySpace(("a", "b"), np.array([0.25, 0.75]))
+    f = BochnerFunction(sp, (pt(1.0, -2.0), pt(-3.0, 4.0)))
+    flat = HilbertPoint(np.array([1.0, -2.0, -3.0, 4.0]), flat_weights(sp, 2))
+    span = SubspaceSpan((pt(1.0, 0.0, 0.0), pt(0.0, 0.6, 0.8)))
+    cases = [
+        (UNIT_BALL, [pt(3.0, 4.0), pt(0.1, 0.2)]),
+        (PositiveCone(2), [pt(-1.0, 2.0)]),
+        (span, [pt(1.0, 2.0, 3.0)]),
+        (SubspaceSpan((), ambient_dim=2), [pt(1.0, 2.0)]),
+        (BochnerPointwiseCone(sp), [f, flat]),
+        (BochnerConstantSubspace(sp), [f, flat]),
+    ]
+    for s, xs in cases:
+        for u in project_sequence(s, xs):
+            for p in (u.values if isinstance(u, BochnerFunction) else (u,)):
+                with pytest.raises(ValueError):
+                    p.coeffs[0] = 7.0
+                if p.weights is not None:
+                    with pytest.raises(ValueError):
+                        p.weights[0] = 7.0
+
+
+def test_project_sequence_error_types_and_indices():
+    sp = DiscreteProbabilitySpace(("a", "b"), np.array([0.25, 0.75]))
+    other = DiscreteProbabilitySpace(("a", "b"), np.array([0.5, 0.5]))
+    good_flat = HilbertPoint(np.array([1.0, -2.0, -3.0, 4.0]), flat_weights(sp, 2))
+    weighted_ball = ClosedBall(pt(0.0, 0.0, weights=(1.0, 2.0)), 1.0)
+    span = SubspaceSpan((pt(1.0, 0.0, weights=(1.0, 2.0)),))
+    cases = [
+        (UNIT_BALL, [pt(2.0, 0.0), pt(1.0, 0.0, 0.0)], DimensionMismatch, 1),
+        (weighted_ball, [pt(2.0, 0.0, weights=(1.0, 2.0)), pt(2.0, 0.0)], WeightMismatch, 1),
+        (PositiveCone(2), [pt(1.0, 2.0), pt(1.0, 2.0), pt(1.0)], DimensionMismatch, 2),
+        (span, [pt(1.0, 2.0, 3.0)], DimensionMismatch, 0),
+        (span, [pt(1.0, 2.0, weights=(1.0, 2.0)), pt(1.0, 2.0)], WeightMismatch, 1),
+        (SubspaceSpan((), ambient_dim=2), [pt(1.0, 2.0), pt(1.0)], DimensionMismatch, 1),
+        (BochnerPointwiseCone(sp), [good_flat, pt(1.0, 2.0, 3.0)], DimensionMismatch, 1),
+        (BochnerPointwiseCone(sp), [good_flat, pt(1.0, 2.0, 3.0, 4.0)], WeightMismatch, 1),
+        (BochnerConstantSubspace(sp), [good_flat, good_flat,
+                                       BochnerFunction(other, (pt(1.0), pt(2.0)))],
+         DimensionMismatch, 2),
+    ]
+    for s, xs, error, index in cases:
+        with pytest.raises(error) as batch:
+            project_sequence(s, xs)
+        with pytest.raises(error) as single:
+            project(s, xs[index])
+        assert str(batch.value) == f"element {index}: {single.value}"
+
+
+def test_project_sequence_overflow_raises_value_error():
+    xs = [pt(2.0, 0.0), pt(1.5e308, -1.5e308)]
+    ball = ClosedBall(pt(-1.5e308, 1.5e308), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            project(ball, xs[1])
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            project_sequence(ball, xs)
+
+
+def test_project_sequence_accepts_any_iterable():
+    xs = [pt(2.0, 0.0), pt(0.0, 0.5)]
+    got = project_sequence(UNIT_BALL, iter(xs))
+    assert [u.coeffs.tolist() for u in got] == [[1.0, 0.0], [0.0, 0.5]]

@@ -16,6 +16,7 @@ from hilproj import (
     PointClass,
     PositiveCone,
     SubspaceSpan,
+    WeightMismatch,
     ZeroVertex,
     ball_inverse_ray,
     classify_point,
@@ -451,3 +452,30 @@ def test_span_component_orthogonal_residual():
         p = span_component(s, x)
         for u in s.generators:
             assert abs(inner(x - p, u)) <= 1e-12
+
+
+def test_span_component_weighted_generators():
+    # reference: the generator loop sum of <x, u_i> u_i under the weighted inner product
+    rng = np.random.default_rng(19)
+    w = rng.uniform(0.5, 2.0, 6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+    s = SubspaceSpan(tuple(HilbertPoint(col / np.sqrt(w), w) for col in q.T))
+    for _ in range(100):
+        x = HilbertPoint(rng.uniform(-3.0, 3.0, 6), w)
+        want = sum((inner(x, u) * u.coeffs for u in s.generators), np.zeros(6))
+        p = span_component(s, x)
+        assert np.array_equal(p.weights, w)
+        assert np.max(np.abs(p.coeffs - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(x.coeffs))))
+        for u in s.generators:
+            assert abs(inner(x - p, u)) <= 1e-12
+
+
+def test_span_component_rejects_incompatible_points():
+    s = SubspaceSpan((pt(1.0, 0.0, weights=(1.0, 4.0)), pt(0.0, 0.5, weights=(1.0, 4.0))))
+    with pytest.raises(DimensionMismatch, match="dimensions 3 and 2 differ"):
+        span_component(s, pt(1.0, 2.0, 3.0, weights=(1.0, 4.0, 1.0)))
+    with pytest.raises(WeightMismatch):
+        span_component(s, pt(1.0, 2.0))
+    with pytest.raises(WeightMismatch):
+        span_component(s, pt(1.0, 2.0, weights=(1.0, 3.0)))
+    assert np.allclose(span_component(s, pt(1.0, 2.0, weights=(1.0, 4.0))).coeffs, [1.0, 2.0])
