@@ -8,12 +8,15 @@ dimension d) to each atom. Norm and inner product are the weighted sums
     ||f||^2 = sum_s mu(s) ||f(s)||^2,
     <f, g>  = sum_s mu(s) <f(s), g(s)>,
 
-which is the atomic form of the Bochner integrals. Everything downstream
-(membership, projections, derivatives) reuses the generic coefficient-vector
-machinery through :func:`flatten`: a function over k atoms with d coordinates
-becomes one k*d vector, atom-major, whose weights repeat each atom weight d
-times. That flattening is an isometry, so closed-form facts about balls and
-cones apply verbatim to the Bochner constructions.
+which is the atomic form of the Bochner integrals. A function over k
+atoms with d coordinates flattens (:func:`flatten`) to one k*d vector,
+atom-major, whose weights repeat each atom weight d times. That flattening
+is an isometry, so closed-form facts about balls and cones apply verbatim to
+the Bochner constructions. The set classes of :mod:`hilproj.sets` for the
+pointwise cone and the constants are adapters built on it: they check and
+flatten an argument once, apply the flat rule and return the result in the
+argument's form. The cone helpers of this module call those classes, so the
+cone rules have one definition.
 """
 
 from __future__ import annotations
@@ -176,19 +179,22 @@ def expectation(f: BochnerFunction) -> HilbertPoint:
 
 def project_pointwise_cone(f: BochnerFunction) -> BochnerFunction:
     """Projection onto the pointwise positive cone: clip per atom, per coordinate."""
-    return BochnerFunction(
-        f.space,
-        tuple(HilbertPoint(np.where(v.coeffs > 0.0, v.coeffs, 0.0)) for v in f.values),
-    )
+    from .sets import BochnerPointwiseCone
+
+    return BochnerPointwiseCone(f.space)._project(f)
 
 
 def project_constants(f: BochnerFunction) -> BochnerFunction:
     """Projection onto the subspace of constant functions: 1_S (x) E(f)."""
-    return constant_function(f.space, expectation(f))
+    from .sets import BochnerConstantSubspace
+
+    return BochnerConstantSubspace(f.space)._project(f)
 
 
 def in_pointwise_cone(f: BochnerFunction, tol: float = _COEFF_TOL) -> bool:
-    return all(bool(np.all(v.coeffs >= -tol)) for v in f.values)
+    from .sets import BochnerPointwiseCone
+
+    return BochnerPointwiseCone(f.space)._contains(f, tol)
 
 
 def cone_inverse_check(g: BochnerFunction, f: BochnerFunction, tol: float = _COEFF_TOL) -> bool:
@@ -200,20 +206,14 @@ def cone_inverse_check(g: BochnerFunction, f: BochnerFunction, tol: float = _COE
     exactly zero admissible, consistent with the coordinate-wise clipping
     rule; f = g itself is excluded by contract.
     """
+    from .sets import BochnerPointwiseCone
+
     check_same(g, f)
-    if not in_pointwise_cone(g, tol):
+    cone = BochnerPointwiseCone(g.space)
+    if not cone._contains(g, tol):
         raise NotInCone("g must lie in the pointwise positive cone")
-    differs = False
-    for gv, fv in zip(g.values, f.values):
-        gc, fc = gv.coeffs, fv.coeffs
-        positive = gc > tol
-        if np.any(np.abs(fc[positive] - gc[positive]) > tol):
-            return False
-        if np.any(fc[~positive] > tol):
-            return False
-        if np.any(np.abs(fc - gc) > tol):
-            differs = True
-    return differs
+    differs = np.any(np.abs(cone._atoms(f) - cone._atoms(g)) > tol)
+    return bool(differs) and cone._inverse_member(g, f, tol)
 
 
 def flatten(f: BochnerFunction) -> HilbertPoint:

@@ -27,41 +27,19 @@ from .core import DEFAULT_TOL, HilbertPoint
 from .derivatives import classify_direction, derivative
 from .errors import (
     DimensionMismatch,
-    EmptySubset,
+    HilprojError,
     InputError,
-    NoHalfMeasureSubset,
-    NotCovered,
-    NotInCone,
-    NotInSet,
     NotOnSphere,
-    NotUnitVector,
-    OutOfDomain,
     SpaceMismatch,
-    UnknownAtom,
     WeightMismatch,
-    ZeroDirection,
-    ZeroVertex,
 )
 from .oracle import fd_derivative, property_battery
 from .projection import _gap, project
 from .sets import ClosedBall, classify_point, in_inverse_image, is_bochner_set
 
 _DIM_ERRORS = (DimensionMismatch, WeightMismatch, SpaceMismatch)
-_INPUT_ERRORS = (
-    InputError,
-    ValueError,
-    OutOfDomain,
-    NotInSet,
-    NotOnSphere,
-    NotUnitVector,
-    ZeroDirection,
-    ZeroVertex,
-    UnknownAtom,
-    EmptySubset,
-    NotInCone,
-    NoHalfMeasureSubset,
-    NotCovered,
-)
+# every other library error, and bad values, are input errors
+_INPUT_ERRORS = (HilprojError, ValueError)
 
 
 def _load(arg: str):

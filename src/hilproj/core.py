@@ -91,6 +91,12 @@ class HilbertPoint:
         return f"HilbertPoint({self.coeffs.tolist()}, weights={self.weights.tolist()})"
 
 
+def _check_tol(tol: float):
+    """Reject a membership or classification tolerance that is NaN, infinite or negative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def _points_from_rows(rows, weights=None) -> list:
     """One point per row of a 2-D array, all sharing one weighting.
 
@@ -200,6 +206,7 @@ def norm_directional_derivative(x: HilbertPoint, v: HilbertPoint, tol: float = D
     NotUnitVector
         If either argument is off the unit sphere by more than ``tol``.
     """
+    _check_tol(tol)
     nx, nv = norm(x), norm(v)
     if abs(nx - 1.0) > tol:
         raise NotUnitVector(f"||x|| = {nx} is not 1 within {tol}")

@@ -15,6 +15,9 @@ Covered cases:
   theta, Down directions get v;
 * positive cone — x and v both in the cone: v; x and v both in the dual
   cone: theta; x with all coordinates strictly positive: v for every v;
+* Bochner pointwise cone — the cone cases and the generic facts of the
+  positive cone of the k*d flattened coordinates, the value returned in the
+  form of x;
 * constants subspace — the projection is affine, so the derivative is the
   constant function at E(h) for every f;
 * Bochner unit ball — the ball cases under the flattening isometry, with
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bochner as bo
-from .core import DEFAULT_TOL, HilbertPoint, inner, norm, zeros_like
+from .core import DEFAULT_TOL, HilbertPoint, _check_tol, inner, norm, zeros_like
 from .errors import (
     DimensionMismatch,
     NotCovered,
@@ -44,16 +47,12 @@ from .errors import (
     SpaceMismatch,
     ZeroDirection,
 )
-from .projection import project
 from .sets import (
     BochnerConstantSubspace,
-    BochnerPointwiseCone,
     ClosedBall,
     PositiveCone,
-    SubspaceSpan,
-    as_function,
-    contains,
-    is_bochner_set,
+    _flat_form,
+    _in_cone,
 )
 
 NOT_COVERED_TAG = "NotCoveredByPaper"
@@ -94,6 +93,7 @@ def _require_direction(v):
 def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                        tol: float = DEFAULT_TOL) -> DirectionClass:
     """Up or Down class of a nonzero direction at a sphere point."""
+    _check_tol(tol)
     _require_direction(v)
     d = x - ball.center
     if abs(norm(d) - ball.radius) > tol:
@@ -101,17 +101,16 @@ def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     return DirectionClass.UP if inner(d, v) >= 0.0 else DirectionClass.DOWN
 
 
-def _positive_parallel(v: HilbertPoint, d: HilbertPoint, g: float) -> bool:
-    """Whether v = lambda * d with lambda > 0; g = <d, v> precomputed."""
-    if g <= 0.0:
-        return False
+def _parallel(v: HilbertPoint, d: HilbertPoint, g: float) -> bool:
+    """Whether v = lambda * d with lambda != 0; g = <d, v> precomputed."""
     lam = g / inner(d, d)
-    return norm(v - lam * d) <= _PARALLEL_TOL * max(1.0, norm(v))
+    return lam != 0.0 and norm(v - lam * d) <= _PARALLEL_TOL * max(1.0, norm(v))
 
 
 def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                     tol: float = DEFAULT_TOL) -> DerivativeResult:
     """Directional derivative of the ball projection; covered everywhere."""
+    _check_tol(tol)
     _require_direction(v)
     d = x - ball.center
     r = ball.radius
@@ -120,12 +119,12 @@ def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     if abs(dist - r) <= tol:
         if g < 0.0:
             return DerivativeResult(True, "Thm4.1(iii)(c)", v)
-        if _positive_parallel(v, d, g):
+        if g > 0.0 and _parallel(v, d, g):
             return DerivativeResult(True, "Thm4.1(iii)(b)", zeros_like(v))
         return DerivativeResult(True, "Thm4.1(iii)(a)", v - (g / (r * r)) * d)
     if dist < r:
         return DerivativeResult(True, "Thm4.1(i)(a)", v)
-    if _positive_parallel(v, d, g):
+    if g > 0.0 and _parallel(v, d, g):
         return DerivativeResult(True, "Thm4.1(ii)(b)", zeros_like(v))
     value = (r / dist**3) * (dist * dist * v - g * d)
     return DerivativeResult(True, "Thm4.1(ii)(a)", value)
@@ -134,23 +133,20 @@ def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
 def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
                     tol: float = DEFAULT_TOL) -> DerivativeResult:
     """Cone cases; boundary points with outward directions are uncovered."""
+    _check_tol(tol)
     _require_direction(v)
-    return _cone_cases(cone.dim, x, v, tol)
+    return _cone_cases(cone, x, v, tol)
 
 
-def _cone_cases(dim: int, x: HilbertPoint, v: HilbertPoint, tol: float) -> DerivativeResult:
-    if x.dim != dim or v.dim != dim:
-        raise DimensionMismatch(f"cone of dimension {dim} got {x.dim}/{v.dim}")
-    xc, vc = x.coeffs, v.coeffs
-    x_in_k = bool(np.all(xc >= -tol))
-    v_in_k = bool(np.all(vc >= -tol))
-    if x_in_k and v_in_k:
+def _cone_cases(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
+                tol: float) -> DerivativeResult:
+    if x.dim != cone.dim or v.dim != cone.dim:
+        raise DimensionMismatch(f"cone of dimension {cone.dim} got {x.dim}/{v.dim}")
+    if _in_cone(x.coeffs, tol) and _in_cone(v.coeffs, tol):
         return DerivativeResult(True, "Thm5.1(i)", v)
-    x_in_dual = bool(np.all(xc <= tol))
-    v_in_dual = bool(np.all(vc <= tol))
-    if x_in_dual and v_in_dual:
+    if _in_cone(-x.coeffs, tol) and _in_cone(-v.coeffs, tol):
         return DerivativeResult(True, "Thm5.1(ii)", zeros_like(v))
-    if bool(np.all(xc > tol)):
+    if cone._interior(x, tol):
         return DerivativeResult(True, "Thm5.1(iii)", v)
     return _not_covered()
 
@@ -161,11 +157,7 @@ def constants_subspace_derivative(space: bo.DiscreteProbabilitySpace,
     """Derivative of the expectation projection: the map is affine in f."""
     if not (f.space.same_space(space) and h.space.same_space(space)):
         raise SpaceMismatch("f and h must live over the given probability space")
-    if f.point_dim != h.point_dim:
-        raise SpaceMismatch(f"per-atom dimensions {f.point_dim} and {h.point_dim} differ")
-    _require_direction(h)
-    value = bo.constant_function(space, bo.expectation(h))
-    return DerivativeResult(True, "Thm7.2", value)
+    return _adapted(_thm72, BochnerConstantSubspace(space), f, h, DEFAULT_TOL)
 
 
 _BOCHNER_BALL_TAGS = {
@@ -184,6 +176,7 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
     ((ii)(b) off the ball, (iii)(b) on the sphere) refine the generic
     formula tags when <f, h> vanishes.
     """
+    _check_tol(tol)
     bo.check_same(f, h)
     _require_direction(h)
     fp, hp = bo.flatten(f), bo.flatten(h)
@@ -201,35 +194,35 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
     return DerivativeResult(True, tag, bo.unflatten(f.space, base.value))
 
 
-def _interior_point(s, x, tol: float) -> bool:
-    """Membership in the set's interior; empty-interior variants return False."""
-    if isinstance(s, ClosedBall):
-        return norm(x - s.center) < s.radius - tol
-    if isinstance(s, PositiveCone):
-        return bool(np.all(x.coeffs > tol))
-    if isinstance(s, SubspaceSpan):
-        return s.is_full
-    if isinstance(s, BochnerPointwiseCone):
-        f = as_function(s, x)
-        return all(bool(np.all(w.coeffs > tol)) for w in f.values)
-    if isinstance(s, BochnerConstantSubspace):
-        return s.space.n_atoms == 1
-    raise TypeError(f"unsupported set {type(s).__name__}")
+def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
+    """rule(set, x, v, tol) in flat form, the value returned in the form of x.
 
-
-def _inverse_image_interior(s, x, u, tol: float) -> bool:
-    """Whether x lies in the interior of the inverse image of u = P(x), x not in C.
-
-    Ball inverse images are rays, with nonempty interior only in dimension
-    one, where the residual-parallel case has already matched; so only the
-    cone variants can reach this test positively.
+    A Bochner set checks and flattens x and v once and names the flat set
+    whose rules hold on them (the positive cone of the k*d coordinates for
+    the pointwise cone); other sets are their own flat form.
     """
-    if isinstance(s, PositiveCone):
-        return bool(np.all(x.coeffs < -tol))
-    if isinstance(s, BochnerPointwiseCone):
-        f = as_function(s, x)
-        return all(bool(np.all(w.coeffs < -tol)) for w in f.values)
-    return False
+    flat, fx, fv = _flat_form(s, x, v)
+    result = rule(flat, fx, fv, tol)
+    if not (result.covered and isinstance(x, bo.BochnerFunction)):
+        return result
+    return DerivativeResult(True, result.case_tag, s._like(x, result.value.coeffs))
+
+
+def _generic_facts(s, x, v, tol: float) -> DerivativeResult:
+    if getattr(s, "is_singleton", False):
+        return DerivativeResult(True, "Lem3.2", zeros_like(v))
+    if s._contains(x, tol):
+        if s._interior(x, tol):
+            return DerivativeResult(True, "Prop3.3", v)
+        if s._segment_direction(x, v, tol):
+            return DerivativeResult(True, "Lem3.1", v)
+        return _not_covered()
+    w = x - s._project(x)
+    if _parallel(v, w, inner(v, w)):
+        return DerivativeResult(True, "Prop3.1", zeros_like(v))
+    if s._inverse_image_interior(x, tol):
+        return DerivativeResult(True, "Prop3.2", zeros_like(v))
+    return _not_covered()
 
 
 def generic_facts_derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:
@@ -238,78 +231,46 @@ def generic_facts_derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeRes
     In coverage order: a singleton set has a constant projection (tag
     Lem3.2, derivative theta); interior points move freely (Prop3.3, v);
     points that can travel both ways along v inside the set sit on a
-    segment of fixed points (Lem3.1, v, decided by a two-sided containment
-    probe at two small steps); outside the set, directions parallel to the
-    projection residual leave the projection stationary (Prop3.1, theta);
-    and an exterior point interior to an inverse image is locally mapped
-    to one value (Prop3.2, theta). Anything else is reported uncovered.
+    segment of fixed points (Lem3.1, v, decided by the set's exact face
+    test: v vanishes on the cone's zero face, v lies in the span, and no
+    sphere point is on a segment of the ball); outside the set, directions
+    parallel to the projection residual leave the projection stationary
+    (Prop3.1, theta); and an exterior point interior to an inverse image is
+    locally mapped to one value (Prop3.2, theta). Anything else is reported
+    uncovered.
     """
+    _check_tol(tol)
     _require_direction(v)
-    flat = is_bochner_set(s)
-    xp = bo.flatten(as_function(s, x)) if flat else x
-    vp = bo.flatten(as_function(s, v)) if flat else v
+    return _adapted(_generic_facts, s, x, v, tol)
 
-    def _wrap(p):
-        return bo.unflatten(s.space, p) if flat and isinstance(x, bo.BochnerFunction) else p
 
-    if isinstance(s, SubspaceSpan) and s.is_singleton:
-        return DerivativeResult(True, "Lem3.2", _wrap(zeros_like(vp)))
-    in_set = contains(s, xp, tol)
-    if in_set and _interior_point(s, xp, tol):
-        return DerivativeResult(True, "Prop3.3", _wrap(vp))
-    if in_set:
-        step = 1e-6 * max(1.0, norm(xp)) / max(1.0, norm(vp))
-        two_sided = all(
-            contains(s, xp + delta * vp, tol) and contains(s, xp - delta * vp, tol)
-            for delta in (step, step / 128.0)
-        )
-        if two_sided:
-            return DerivativeResult(True, "Lem3.1", _wrap(vp))
-        return _not_covered()
-    u = project(s, xp)
-    w = xp - u
-    lam = inner(vp, w) / inner(w, w)
-    if abs(lam) > 0.0 and norm(vp - lam * w) <= _PARALLEL_TOL * max(1.0, norm(vp)):
-        return DerivativeResult(True, "Prop3.1", _wrap(zeros_like(vp)))
-    if _inverse_image_interior(s, xp, u, tol):
-        return DerivativeResult(True, "Prop3.2", _wrap(zeros_like(vp)))
-    return _not_covered()
+def _cone_or_facts(s, x, v, tol: float) -> DerivativeResult:
+    if isinstance(s, PositiveCone):
+        result = _cone_cases(s, x, v, tol)
+        if result.covered:
+            return result
+    return _generic_facts(s, x, v, tol)
+
+
+def _thm72(s, x, v, tol: float) -> DerivativeResult:
+    # the projection onto the constants is affine, so P'(x)(h) = P(h)
+    _require_direction(v)
+    return DerivativeResult(True, "Thm7.2", s._project(v))
 
 
 def derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:
-    """Best covered derivative: specialized formula first, generic facts second."""
+    """Best covered derivative: specialized formula first, generic facts second.
+
+    The clause is chosen by the kind of set: ball (Thm 4.1), constants
+    (Thm 7.2) or cone (Thm 5.1, the Bochner cone on its flat coordinates).
+    """
     if isinstance(s, ClosedBall):
         return ball_derivative(s, x, v, tol)
-    if isinstance(s, PositiveCone):
-        result = cone_derivative(s, x, v, tol)
-    elif isinstance(s, BochnerPointwiseCone):
-        _require_direction(v)
-        fx, fv = as_function(s, x), as_function(s, v)
-        if fx.point_dim != fv.point_dim:
-            raise SpaceMismatch(
-                f"per-atom dimensions {fx.point_dim} and {fv.point_dim} differ"
-            )
-        flat_result = _cone_cases(
-            s.space.n_atoms * fx.point_dim, bo.flatten(fx), bo.flatten(fv), tol
-        )
-        if flat_result.covered and isinstance(x, bo.BochnerFunction):
-            value = bo.unflatten(s.space, flat_result.value)
-            result = DerivativeResult(True, flat_result.case_tag, value)
-        else:
-            result = flat_result
-    elif isinstance(s, BochnerConstantSubspace):
-        fx, fv = as_function(s, x), as_function(s, v)
-        result = constants_subspace_derivative(s.space, fx, fv)
-        if not isinstance(x, bo.BochnerFunction):
-            result = DerivativeResult(True, result.case_tag, bo.flatten(result.value))
-        return result
-    elif isinstance(s, SubspaceSpan):
-        result = _not_covered()
-    else:
-        raise TypeError(f"unsupported set {type(s).__name__}")
-    if result.covered:
-        return result
-    return generic_facts_derivative(s, x, v, tol)
+    _check_tol(tol)
+    if isinstance(s, BochnerConstantSubspace):
+        return _adapted(_thm72, s, x, v, tol)
+    _require_direction(v)
+    return _adapted(_cone_or_facts, s, x, v, tol)
 
 
 def homogeneity_check(derive, x, v, lam: float) -> bool:

@@ -38,6 +38,7 @@ from .sets import (
     ClosedBall,
     PositiveCone,
     SubspaceSpan,
+    _flat_form,
     _member_matrix,
     contains,
     is_bochner_set,
@@ -59,15 +60,9 @@ class OracleEstimate:
     residual: float
 
 
-def _as_flat(s, p):
-    if is_bochner_set(s) and isinstance(p, bo.BochnerFunction):
-        return bo.flatten(p)
-    return p
-
-
 def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     """Difference-quotient estimate of the directional derivative at x along v."""
-    xp, vp = _as_flat(s, x), _as_flat(s, v)
+    _, xp, vp = _flat_form(s, x, v)
     if norm(vp) == 0.0:
         raise ZeroDirection("direction must be nonzero")
     base = project(s, xp)
@@ -101,7 +96,7 @@ def variational_certificate(s, x, u, samples: int = 1000, rng=None) -> dict:
     if not contains(s, u, 1e-9):
         raise NotInSet("candidate projection must belong to the set")
     rng = np.random.default_rng(0) if rng is None else rng
-    xp, up = _as_flat(s, x), _as_flat(s, u)
+    _, xp, up = _flat_form(s, x, u)
     w = xp - up
     zs, weights = _member_matrix(s, samples, rng, include=(u,))
     wvec = w.coeffs if weights is None else weights * w.coeffs
@@ -180,17 +175,6 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
     raise ValueError(f"unknown cone region {region!r}")
 
 
-def _identity_band_safe(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint) -> bool:
-    """Reject sphere pairs whose first quotient probes land in the identity band.
-
-    Projection treats ||x + tv - c|| in (r, r + 1e-12] as on-sphere; a pair
-    whose radial growth rate is so small that early probe steps fall inside
-    that band would measure the identity map instead of the formula.
-    """
-    g = inner(x - ball.center, v)
-    return abs(g) >= 1e-3 * max(norm(v), 0.1)
-
-
 def _random_pair(s, rng):
     """Random (x, v) with x spread over the set's case regions."""
     if isinstance(s, ClosedBall):
@@ -208,12 +192,7 @@ def _random_pair(s, rng):
     if isinstance(s, SubspaceSpan):
         w = s.generators[0].weights if s.generators else None
         return random_point(rng, s.dim, w), random_point(rng, s.dim, w)
-    if isinstance(s, BochnerPointwiseCone):
-        d = 3
-        w = bo.flat_weights(s.space, d)
-        n = s.space.n_atoms * d
-        return random_point(rng, n, w), random_point(rng, n, w)
-    if isinstance(s, BochnerConstantSubspace):
+    if is_bochner_set(s):
         d = 3
         w = bo.flat_weights(s.space, d)
         n = s.space.n_atoms * d
@@ -223,20 +202,15 @@ def _random_pair(s, rng):
 
 def _covered_pair(s, rng):
     """Random (x, v) whose analytic derivative is covered."""
-    if isinstance(s, ClosedBall):
+    if isinstance(s, (ClosedBall, BochnerConstantSubspace)):
         return _random_pair(s, rng)
     if isinstance(s, PositiveCone):
-        mode = int(rng.integers(3))
-        if mode == 0:
-            x = cone_region_point(s, "boundary", rng)
-            v = HilbertPoint(rng.uniform(0.0, 2.0, size=s.dim))
-        elif mode == 1:
-            x = cone_region_point(s, "dual", rng)
-            v = HilbertPoint(-rng.uniform(0.0, 2.0, size=s.dim))
-        else:
-            x = cone_region_point(s, "strict_interior", rng)
-            v = random_point(rng, s.dim)
-        return x, v
+        region = ("boundary", "dual", "strict_interior")[int(rng.integers(3))]
+        x = cone_region_point(s, region, rng)
+        if region == "strict_interior":
+            return x, random_point(rng, s.dim)
+        sign = 1.0 if region == "boundary" else -1.0
+        return x, HilbertPoint(sign * rng.uniform(0.0, 2.0, size=s.dim))
     if isinstance(s, SubspaceSpan):
         w = s.generators[0].weights if s.generators else None
         if s.is_singleton or s.is_full:
@@ -255,22 +229,13 @@ def _covered_pair(s, rng):
         lam = float(rng.uniform(0.5, 3.0)) * (1.0 if rng.integers(2) else -1.0)
         return x_out, lam * (x_out - u)
     if isinstance(s, BochnerPointwiseCone):
-        d = 3
-        k = s.space.n_atoms
-        w = bo.flat_weights(s.space, d)
+        n, w = s.space.n_atoms * 3, bo.flat_weights(s.space, 3)
         mode = int(rng.integers(3))
-        if mode == 0:
-            x = HilbertPoint(np.abs(rng.uniform(0.0, 2.0, size=k * d)), w)
-            v = HilbertPoint(rng.uniform(0.0, 2.0, size=k * d), w)
-        elif mode == 1:
-            x = HilbertPoint(-rng.uniform(0.0, 2.0, size=k * d), w)
-            v = HilbertPoint(-rng.uniform(0.0, 2.0, size=k * d), w)
-        else:
-            x = HilbertPoint(rng.uniform(0.05, 2.0, size=k * d), w)
-            v = random_point(rng, k * d, w)
-        return x, v
-    if isinstance(s, BochnerConstantSubspace):
-        return _random_pair(s, rng)
+        low, sign = ((0.0, 1.0), (0.0, -1.0), (0.05, 1.0))[mode]
+        x = HilbertPoint(sign * rng.uniform(low, 2.0, size=n), w)
+        if mode == 2:
+            return x, random_point(rng, n, w)
+        return x, HilbertPoint(sign * rng.uniform(0.0, 2.0, size=n), w)
     raise TypeError(f"unsupported set {type(s).__name__}")
 
 
