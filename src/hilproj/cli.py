@@ -16,6 +16,7 @@ The environment variable HILPROJ_SEED, when set, overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -189,7 +190,9 @@ def _cmd_verify(args):
     return min(failures, 125), payload
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol", type=float, default=DEFAULT_TOL,

@@ -10,12 +10,14 @@ so a function is represented by its first n coefficients <func, e_k>,
 computed by adaptive quadrature. Projections and derivatives on these
 coefficient vectors are the ordinary ball formulas: truncating to n terms
 identifies the span with a coordinate space.
+
+scipy is imported inside trig_coefficients, the only function that
+integrates, so importing hilproj or its CLI does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import HilbertPoint
 
@@ -37,6 +39,8 @@ def trig_coefficients(func, n_terms: int) -> HilbertPoint:
     """First n_terms coefficients of func against the trigonometric system."""
     if n_terms < 1:
         raise ValueError("n_terms must be a positive integer")
+    from scipy.integrate import quad
+
     coeffs = np.empty(n_terms)
     for k in range(n_terms):
         e_k = basis_function(k)

@@ -38,8 +38,9 @@ from .sets import (
     ClosedBall,
     PositiveCone,
     SubspaceSpan,
+    VI_SLACK,
     _flat_form,
-    _member_matrix,
+    _min_variational_inner,
     contains,
     is_bochner_set,
     sample_points,
@@ -47,7 +48,6 @@ from .sets import (
 )
 
 _STEP_KS = range(4, 27)
-VI_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,7 @@ def variational_certificate(s, x, u, samples: int = 1000, rng=None) -> dict:
     if not contains(s, u, 1e-9):
         raise NotInSet("candidate projection must belong to the set")
     rng = np.random.default_rng(0) if rng is None else rng
-    _, xp, up = _flat_form(s, x, u)
-    w = xp - up
-    zs, weights = _member_matrix(s, samples, rng, include=(u,))
-    wvec = w.coeffs if weights is None else weights * w.coeffs
-    min_inner = float(np.min((up.coeffs[None, :] - zs) @ wvec))
+    min_inner = _min_variational_inner(s, x, u, samples, rng)
     return {"min_inner": min_inner, "pass": bool(min_inner >= -VI_SLACK)}
 
 

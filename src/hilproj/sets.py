@@ -53,6 +53,8 @@ from .errors import (
 )
 
 _ORTHONORMAL_TOL = 1e-9
+# slack of the sampled variational inequality <x - u, u - z> >= -VI_SLACK
+VI_SLACK = 1e-9
 # Points with ||x-c|| in (r, r+1e-12] are projected by the identity: the
 # radial formula is continuous at the sphere, both branches agree to 1e-12
 # there, and skipping the division avoids amplifying a near-zero denominator.
@@ -563,13 +565,8 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
     exact = s._inverse_member(y, x, tol)
     if not exact or sample_budget <= 0:
         return exact
-    _, flat_y, flat_x = _flat_form(s, y, x)
     rng = np.random.default_rng(0) if rng is None else rng
-    w = flat_x - flat_y
-    for z in sample_points(s, sample_budget, rng, include=(y,)):
-        if inner(w, flat_y - z) < -1e-9:
-            return False
-    return True
+    return _min_variational_inner(s, x, y, sample_budget, rng) >= -VI_SLACK
 
 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:
@@ -661,6 +658,19 @@ def _member_matrix(s, n: int, rng, include=()) -> tuple:
         lam[rng.random(n) < 0.5] = 1.0
         z = lam * z + (1.0 - lam) * rows[np.arange(n) % len(rows)]
     return z, weights
+
+
+def _min_variational_inner(s, x, u, n: int, rng) -> float:
+    """Minimum of <x - u, u - z> over n sampled members z, in one product.
+
+    The z are the rows sample_points(s, n, rng, include=(u,)) would return,
+    drawn from rng in the same way.
+    """
+    _, xp, up = _flat_form(s, x, u)
+    w = (xp - up).coeffs
+    zs, weights = _member_matrix(s, n, rng, include=(u,))
+    wvec = w if weights is None else weights * w
+    return float(np.min((up.coeffs[None, :] - zs) @ wvec))
 
 
 def sample_points(s, n: int, rng, include=()) -> list:
