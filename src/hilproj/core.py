@@ -43,22 +43,9 @@ class HilbertPoint:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.ndim != 1:
-            raise ValueError("coeffs must be one-dimensional")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coeffs must be finite")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
+        coeffs, weights = _checked_arrays(self.coeffs, self.weights, 1)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.weights is not None:
-            weights = np.asarray(self.weights, dtype=np.float64)
-            if weights.shape != coeffs.shape:
-                raise ValueError("weights must match coeffs in length")
-            if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-                raise ValueError("weights must be finite and strictly positive")
-            weights = weights.copy()
-            weights.setflags(write=False)
+        if weights is not None:
             object.__setattr__(self, "weights", weights)
 
     @property
@@ -97,26 +84,32 @@ def _check_tol(tol: float):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _points_from_rows(rows, weights=None) -> list:
-    """One point per row of a 2-D array, all sharing one weighting.
-
-    Applies the checks of ``HilbertPoint.__post_init__`` once to the whole
-    matrix instead of once per row, with the same messages. Every point's
-    coefficients are a read-only row of one private copy of ``rows``.
-    """
-    rows = np.array(rows, dtype=np.float64)
-    if rows.ndim != 2:
+def _checked_arrays(coeffs, weights, axes: int) -> tuple:
+    """Checked read-only float64 copies of coeffs (one point, or rows if axes=2) and weights."""
+    coeffs = np.array(coeffs, dtype=np.float64)
+    if coeffs.ndim != axes:
         raise ValueError("coeffs must be one-dimensional")
-    if not np.all(np.isfinite(rows)):
+    if not np.all(np.isfinite(coeffs)):
         raise ValueError("coeffs must be finite")
-    rows.setflags(write=False)
+    coeffs.setflags(write=False)
     if weights is not None:
         weights = np.array(weights, dtype=np.float64)
-        if weights.shape != rows.shape[1:]:
+        if weights.shape != coeffs.shape[-1:]:
             raise ValueError("weights must match coeffs in length")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
         weights.setflags(write=False)
+    return coeffs, weights
+
+
+def _points_from_rows(rows, weights=None) -> list:
+    """One point per row of a 2-D array, all sharing one weighting.
+
+    Applies the checks of ``HilbertPoint.__post_init__`` once to the whole
+    matrix instead of once per row. Every point's coefficients are a
+    read-only row of one private copy of ``rows``.
+    """
+    rows, weights = _checked_arrays(rows, weights, 2)
     new = object.__new__
     out = []
     for row in rows:

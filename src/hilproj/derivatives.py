@@ -96,7 +96,7 @@ def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     _check_tol(tol)
     _require_direction(v)
     d = x - ball.center
-    if abs(norm(d) - ball.radius) > tol:
+    if ball._place(norm(d), tol) != 0:
         raise NotOnSphere("direction classes are defined at sphere points only")
     return DirectionClass.UP if inner(d, v) >= 0.0 else DirectionClass.DOWN
 
@@ -104,7 +104,7 @@ def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
 def _parallel(v: HilbertPoint, d: HilbertPoint, g: float) -> bool:
     """Whether v = lambda * d with lambda != 0; g = <d, v> precomputed."""
     lam = g / inner(d, d)
-    return lam != 0.0 and norm(v - lam * d) <= _PARALLEL_TOL * max(1.0, norm(v))
+    return lam != 0.0 and norm(v - lam * d) <= _PARALLEL_TOL * norm(v)
 
 
 def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
@@ -116,13 +116,14 @@ def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     r = ball.radius
     dist = norm(d)
     g = inner(d, v)
-    if abs(dist - r) <= tol:
+    place = ball._place(dist, tol)
+    if place == 0:
         if g < 0.0:
             return DerivativeResult(True, "Thm4.1(iii)(c)", v)
         if g > 0.0 and _parallel(v, d, g):
             return DerivativeResult(True, "Thm4.1(iii)(b)", zeros_like(v))
         return DerivativeResult(True, "Thm4.1(iii)(a)", v - (g / (r * r)) * d)
-    if dist < r:
+    if place < 0:
         return DerivativeResult(True, "Thm4.1(i)(a)", v)
     if g > 0.0 and _parallel(v, d, g):
         return DerivativeResult(True, "Thm4.1(ii)(b)", zeros_like(v))
@@ -184,7 +185,7 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
     base = ball_derivative(ball, fp, hp, tol)
     tag = base.case_tag
     g = bo.bochner_inner(f, h)
-    orthogonal = abs(g) <= tol * max(1.0, bo.bochner_norm(h))
+    orthogonal = abs(g) <= tol * bo.bochner_norm(h)
     if tag == "Thm4.1(ii)(a)":
         tag = "Prop7.1(ii)(b)" if orthogonal else "Prop7.1(ii)(a)"
     elif tag == "Thm4.1(iii)(a)":

@@ -9,10 +9,10 @@ its class in :mod:`hilproj.sets`:
 * Bochner pointwise cone: the cone's clipping, per atom and per coordinate;
 * Bochner constants: the constant function at the expectation.
 
-Points with ||x-c|| in (r, r+1e-12] are projected by the identity: the band
-is an absolute 1e-12 beyond the radius, whatever the radius. The radial
-formula is continuous at the sphere, both branches agree to 1e-12 there, and
-skipping the division avoids amplifying a near-zero denominator direction.
+Points with ||x-c|| in (r, r + 1e-12 r] are projected by the identity: the
+band is relative to the radius, so it scales with the ball. The radial
+formula is continuous at the sphere, both branches agree to 1e-12 r there,
+and skipping the division avoids amplifying a near-zero denominator.
 
 The Bochner sets are adapters: an argument in function form or in flattened
 form is checked and flattened once, the flat rule is applied, and the result

@@ -55,8 +55,8 @@ from .errors import (
 _ORTHONORMAL_TOL = 1e-9
 # slack of the sampled variational inequality <x - u, u - z> >= -VI_SLACK
 VI_SLACK = 1e-9
-# Points with ||x-c|| in (r, r+1e-12] are projected by the identity: the
-# radial formula is continuous at the sphere, both branches agree to 1e-12
+# Points with ||x-c|| in (r, r + 1e-12 r] are projected by the identity: the
+# radial formula is continuous at the sphere, both branches agree to 1e-12 r
 # there, and skipping the division avoids amplifying a near-zero denominator.
 _SPHERE_BAND = 1e-12
 
@@ -139,9 +139,18 @@ class ClosedBall:
     def dim(self) -> int:
         return self.center.dim
 
+    def _place(self, dist, tol: float):
+        """-1 inside, 0 on the sphere, 1 outside, for dist = ||x - c|| (or an array of them).
+
+        The sphere is the band [r - tol r, r + tol r], relative to the radius,
+        so scaling x - c and r together places every point as before.
+        """
+        slack = tol * self.radius
+        return (dist > self.radius + slack) * 1 - (dist < self.radius - slack)
+
     def _project(self, x):
         d = norm(x - self.center)
-        if d <= self.radius + _SPHERE_BAND:
+        if self._place(d, _SPHERE_BAND) <= 0:
             return x
         return self.center + (self.radius / d) * (x - self.center)
 
@@ -153,7 +162,7 @@ class ClosedBall:
         # one np.dot per row, as norm() takes it, so the band test and the
         # radial scale agree with _project bit for bit
         dist = np.sqrt(np.maximum((wdiff[:, None, :] @ diff[:, :, None])[:, 0, 0], 0.0))
-        outside = np.flatnonzero(dist > self.radius + _SPHERE_BAND)
+        outside = np.flatnonzero(self._place(dist, _SPHERE_BAND) > 0)
         out = list(xs)
         rows = c.coeffs + (self.radius / dist[outside])[:, None] * diff[outside]
         for i, p in zip(outside, _points_from_rows(rows, c.weights)):
@@ -162,21 +171,18 @@ class ClosedBall:
 
     def _contains(self, x, tol: float) -> bool:
         _check_dim(self, x)
-        return norm(x - self.center) <= self.radius + tol
+        return self._place(norm(x - self.center), tol) <= 0
 
     def _interior(self, x, tol: float) -> bool:
-        return norm(x - self.center) < self.radius - tol
+        return self._place(norm(x - self.center), tol) < 0
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         _check_dim(self, x)
+        # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c)
         d = y - self.center
-        if norm(d) < self.radius - tol:
-            return norm(x - y) <= tol
         w = x - y
-        t = inner(w, d) / (self.radius * self.radius)
-        if t < -tol:
-            return False
-        return norm(w - t * d) <= tol
+        t = 0.0 if self._place(norm(d), tol) < 0 else inner(w, d) / (self.radius * self.radius)
+        return t >= -tol and norm(w - t * d) <= tol * self.radius
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
         # the inverse images are rays, with interior only in dimension one,
@@ -572,7 +578,7 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:
     """Point y + t(y - c) of the inverse-image ray at a sphere point y."""
     _check_dim(ball, y)
-    if abs(norm(y - ball.center) - ball.radius) > DEFAULT_TOL:
+    if ball._place(norm(y - ball.center), DEFAULT_TOL) != 0:
         raise NotOnSphere("ray vertex must lie on the sphere")
     t = float(t)
     if t < 0.0:
@@ -664,12 +670,12 @@ def _min_variational_inner(s, x, u, n: int, rng) -> float:
     """Minimum of <x - u, u - z> over n sampled members z, in one product.
 
     The z are the rows sample_points(s, n, rng, include=(u,)) would return,
-    drawn from rng in the same way.
+    drawn from rng in the same way; the product takes x's own weighting.
     """
     _, xp, up = _flat_form(s, x, u)
     w = (xp - up).coeffs
-    zs, weights = _member_matrix(s, n, rng, include=(u,))
-    wvec = w if weights is None else weights * w
+    zs, _ = _member_matrix(s, n, rng, include=(u,))
+    wvec = w if xp.weights is None else xp.weights * w
     return float(np.min((up.coeffs[None, :] - zs) @ wvec))
 
 

@@ -86,3 +86,18 @@ def test_sampled_check_equals_the_per_sample_loop(name):
                 outcomes.add((exact, got))
     assert outcomes == {(True, True), (True, False), (False, False)}
 
+
+
+def test_certificate_weights_the_product_by_the_points():
+    # cone samples carry no weights; the product takes the points' own
+    cone = PositiveCone(2)
+    x = HilbertPoint([1.0, -1.0], [1.0, 100.0])
+    u = project(cone, x)
+    zs = sample_points(cone, 50, np.random.default_rng(0), include=(u,))
+    want = min(float(np.sum(x.weights * (x - u).coeffs * (u.coeffs - z.coeffs))) for z in zs)
+    cert = variational_certificate(cone, x, u, samples=50)
+    assert cert["min_inner"] == pytest.approx(want, rel=1e-12)
+    plain = variational_certificate(cone, HilbertPoint([1.0, -1.0]), HilbertPoint([1.0, 0.0]),
+                                    samples=50)
+    assert cert["min_inner"] == pytest.approx(100.0 * plain["min_inner"], rel=1e-12)
+    assert cert["min_inner"] > 1.0 and cert["pass"]
