@@ -33,7 +33,6 @@ and enters it exactly when <x-c,v> < 0 (class Down).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,7 @@ from .errors import (
 from .sets import (
     BochnerConstantSubspace,
     ClosedBall,
+    DirectionClass,
     PositiveCone,
     _flat_form,
     _in_cone,
@@ -58,11 +58,6 @@ from .sets import (
 NOT_COVERED_TAG = "NotCoveredByPaper"
 
 _PARALLEL_TOL = 1e-9
-
-
-class DirectionClass(enum.Enum):
-    UP = "Up"
-    DOWN = "Down"
 
 
 @dataclass(frozen=True)

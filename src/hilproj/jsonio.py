@@ -199,7 +199,7 @@ def decode_set(obj):
                 raise InputError("ball radius must be a number")
             return ClosedBall(decode_point(obj["center"]), float(obj["radius"]))
         if kind == "positive_cone":
-            if not isinstance(obj.get("dim"), int) or isinstance(obj.get("dim"), bool):
+            if type(obj.get("dim")) is not int:
                 raise InputError("positive_cone needs an integer \"dim\"")
             return PositiveCone(obj["dim"])
         if kind == "subspace":
@@ -207,7 +207,7 @@ def decode_set(obj):
             if not isinstance(gens, list):
                 raise InputError("subspace needs a \"generators\" array")
             ambient = obj.get("ambient_dim")
-            if ambient is not None and not isinstance(ambient, int):
+            if ambient is not None and type(ambient) is not int:
                 raise InputError("\"ambient_dim\" must be an integer")
             return SubspaceSpan(tuple(decode_point(g) for g in gens), ambient)
         if kind == "bochner_cone":

@@ -7,8 +7,10 @@ functions). Each variant is a class that owns its rules as private methods:
 projection, membership, the interior test that separates internal points
 (the projection's inverse image is the singleton {y}) from cuticle points
 (strictly larger), inverse-image membership in closed form, the facts
-behind Lem 3.1 and Prop 3.2, and member sampling. The public functions
-delegate to them.
+behind Lem 3.1 and Prop 3.2, member sampling, the slack of the sampled
+variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's
+test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1 with margins
+relative to the radius. The public functions delegate to them.
 
 * ball, y on the sphere: the inverse image is the outward ray y + t(y - c),
   t >= 0;
@@ -66,6 +68,11 @@ class PointClass(enum.Enum):
     CUTICLE = "Cuticle"
 
 
+class DirectionClass(enum.Enum):
+    UP = "Up"
+    DOWN = "Down"
+
+
 def _check_dim(s, x: HilbertPoint, what: str = "set"):
     if x.dim != s.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, {what} needs {s.dim}")
@@ -120,6 +127,78 @@ def _rows_weighted_like(rows: np.ndarray, xs) -> list:
         for i, p in zip(idx, _points_from_rows(rows[idx], xs[idx[0]].weights)):
             out[i] = p
     return out
+
+
+def random_point(rng, dim: int, weights=None, scale: float = 2.0) -> HilbertPoint:
+    """Coefficients uniform in [-scale, scale]."""
+    return HilbertPoint(rng.uniform(-scale, scale, size=dim), weights)
+
+
+def ball_region_point(ball: ClosedBall, region: str, rng, margin: float = 0.1) -> HilbertPoint:
+    """Random point in a named region of a ball: interior, sphere, or exterior.
+
+    The margin keeps interior and exterior points away from the sphere so
+    difference quotients never straddle the kink; sphere points are placed
+    by exact normalization.
+    """
+    c, r = ball.center, ball.radius
+    u = rng.standard_normal(ball.dim)
+    w = np.ones(ball.dim) if c.weights is None else c.weights
+    u = u / np.sqrt(np.dot(u * w, u))
+    direction = HilbertPoint(u, c.weights)
+    if region == "interior":
+        return c + (r * rng.uniform(0.0, max(0.0, 1.0 - margin / r))) * direction
+    if region == "sphere":
+        return c + r * direction
+    if region == "exterior":
+        return c + (r + margin + rng.uniform(0.0, 2.0 * r)) * direction
+    raise ValueError(f"unknown ball region {region!r}")
+
+
+def sphere_direction(ball: ClosedBall, x: HilbertPoint, klass: DirectionClass, rng,
+                     margin: float = 1e-3) -> HilbertPoint:
+    """Random direction of the requested class at a sphere point.
+
+    Directions with |<x - c, v>| below margin * r * max(||v||, margin) are
+    resampled: quotient probes cannot resolve the Up/Down kink when the
+    radial component is smaller than the probe step. The bound scales with
+    r, as <x - c, v> does, so every radius rejects the same share of draws.
+    """
+    d = x - ball.center
+    for _ in range(1000):
+        v = random_point(rng, ball.dim, ball.center.weights)
+        g = inner(d, v)
+        if abs(g) < margin * ball.radius * max(norm(v), margin):
+            continue
+        if (g >= 0.0) == (klass is DirectionClass.UP):
+            return v
+    raise RuntimeError("direction sampling failed to hit the requested class")
+
+
+def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
+    """Random point in a named cone region.
+
+    Regions: strict_interior (all coordinates >= 0.05, so probe steps stay
+    in the identity regime), boundary (a random nonempty coordinate subset
+    zeroed, rest positive), dual (all coordinates <= 0), dual_interior
+    (all <= -0.05), general (unconstrained).
+    """
+    d = cone.dim
+    if region == "strict_interior":
+        return HilbertPoint(rng.uniform(0.05, 2.0, size=d))
+    if region == "boundary":
+        x = rng.uniform(0.05, 2.0, size=d)
+        n_zero = int(rng.integers(1, d + 1))
+        idx = rng.choice(d, size=n_zero, replace=False)
+        x[idx] = 0.0
+        return HilbertPoint(x)
+    if region == "dual":
+        return HilbertPoint(-rng.uniform(0.0, 2.0, size=d))
+    if region == "dual_interior":
+        return HilbertPoint(-rng.uniform(0.05, 2.0, size=d))
+    if region == "general":
+        return random_point(rng, d)
+    raise ValueError(f"unknown cone region {region!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,12 +283,27 @@ class ClosedBall:
         radii = r * rng.uniform(0.0, 1.0, n) ** (1.0 / c.dim)
         return c.coeffs[None, :] + (radii / norms)[:, None] * g, c.weights
 
+    def _sample_pair(self, rng, covered: bool) -> tuple:
+        # Thm 4.1 covers every input: interior, sphere (Up or Down) or exterior
+        region = ("interior", "sphere", "exterior")[int(rng.integers(3))]
+        x = ball_region_point(self, region, rng)
+        if region != "sphere":
+            return x, random_point(rng, self.dim, self.center.weights)
+        klass = DirectionClass.UP if rng.integers(2) else DirectionClass.DOWN
+        return x, sphere_direction(self, x, klass, rng)
+
+    @property
+    def _vi_slack(self) -> float:
+        # the products <x - u, u - z> scale as r^2
+        return VI_SLACK * self.radius * self.radius
+
 
 @dataclass(frozen=True, eq=False)
 class PositiveCone:
     """Coefficient vectors with every coordinate nonnegative."""
 
     dim: int
+    _vi_slack = VI_SLACK
 
     def __post_init__(self):
         d = int(self.dim)
@@ -249,6 +343,18 @@ class PositiveCone:
         keep = rng.random((n, self.dim)) < min(1.0, 4.0 / self.dim)
         return rng.uniform(0.0, 4.0, (n, self.dim)) * keep, None
 
+    def _sample_pair(self, rng, covered: bool) -> tuple:
+        """x over the Thm 5.1 regions; a covered v stays in the clause's cone."""
+        if not covered:
+            region = ("strict_interior", "boundary", "dual", "general")[int(rng.integers(4))]
+            return cone_region_point(self, region, rng), random_point(rng, self.dim)
+        region = ("boundary", "dual", "strict_interior")[int(rng.integers(3))]
+        x = cone_region_point(self, region, rng)
+        if region == "strict_interior":
+            return x, random_point(rng, self.dim)
+        sign = 1.0 if region == "boundary" else -1.0
+        return x, HilbertPoint(sign * rng.uniform(0.0, 2.0, size=self.dim))
+
 
 @dataclass(frozen=True, eq=False)
 class SubspaceSpan:
@@ -261,6 +367,7 @@ class SubspaceSpan:
 
     generators: tuple = ()
     ambient_dim: int | None = None
+    _vi_slack = VI_SLACK
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -356,6 +463,24 @@ class SubspaceSpan:
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         return rng.uniform(-4.0, 4.0, (n, self.n_generators)) @ self._basis, self._weights
 
+    def _sample_pair(self, rng, covered: bool) -> tuple:
+        w, d = self._weights, self.dim
+        if not covered or self.is_singleton or self.is_full:
+            return random_point(rng, d, w), random_point(rng, d, w)
+        x_in = span_component(self, random_point(rng, d, w))
+        if rng.integers(2):
+            # Lem 3.1: a member moving inside the span
+            v = span_component(self, random_point(rng, d, w))
+            return x_in, v if norm(v) != 0.0 else self.generators[0]
+        # Prop 3.1: an outside point moving along its residual
+        x_out = random_point(rng, d, w)
+        u = self._project(x_out)
+        if norm(x_out - u) < 1e-3:
+            x_out = x_out + HilbertPoint(np.ones(d), w)
+            u = self._project(x_out)
+        lam = float(rng.uniform(0.5, 3.0)) * (1.0 if rng.integers(2) else -1.0)
+        return x_out, lam * (x_out - u)
+
 
 @dataclass(frozen=True, eq=False)
 class _BochnerSet:
@@ -368,6 +493,7 @@ class _BochnerSet:
     """
 
     space: bo.DiscreteProbabilitySpace
+    _vi_slack = VI_SLACK
 
     def _atoms(self, x) -> np.ndarray:
         """x's values as a (k, d) array, after the space or flat-weight checks."""
@@ -426,6 +552,11 @@ class _BochnerSet:
             raise ValueError("Bochner sampling needs a reference point for the dimension")
         return anchors[0].dim // self.space.n_atoms
 
+    def _sample_pair(self, rng, covered: bool) -> tuple:
+        """Two flat points of per-atom dimension 3."""
+        n, w = self.space.n_atoms * 3, bo.flat_weights(self.space, 3)
+        return random_point(rng, n, w), random_point(rng, n, w)
+
 
 @dataclass(frozen=True, eq=False)
 class BochnerPointwiseCone(_BochnerSet):
@@ -458,6 +589,18 @@ class BochnerPointwiseCone(_BochnerSet):
         d = self._sample_dim(anchors)
         z, _ = self._flat_set(d)._member_rows(n, rng, anchors)
         return z, bo.flat_weights(self.space, d)
+
+    def _sample_pair(self, rng, covered: bool) -> tuple:
+        if not covered:
+            return super()._sample_pair(rng, covered)
+        # boundary with v >= 0 (Thm 5.1(i)), dual with v <= 0 (ii) or interior (iii)
+        n, w = self.space.n_atoms * 3, bo.flat_weights(self.space, 3)
+        mode = int(rng.integers(3))
+        low, sign = ((0.0, 1.0), (0.0, -1.0), (0.05, 1.0))[mode]
+        x = HilbertPoint(sign * rng.uniform(low, 2.0, size=n), w)
+        if mode == 2:
+            return x, random_point(rng, n, w)
+        return x, HilbertPoint(sign * rng.uniform(0.0, 2.0, size=n), w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,8 +705,8 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
     """Whether x projects onto y, decided by the closed-form characterizations.
 
     With sample_budget > 0, additionally samples that many points z of the
-    set and requires <x - y, y - z> >= -1e-9, an independent check of the
-    basic variational principle.
+    set and requires <x - y, y - z> >= -1e-9 (-1e-9 r^2 on a ball), an
+    independent check of the basic variational principle.
     """
     _check_tol(tol)
     if not s._contains(y, tol):
@@ -572,7 +715,7 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
     if not exact or sample_budget <= 0:
         return exact
     rng = np.random.default_rng(0) if rng is None else rng
-    return _min_variational_inner(s, x, y, sample_budget, rng) >= -VI_SLACK
+    return _min_variational_inner(s, x, y, sample_budget, rng) >= -s._vi_slack
 
 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:

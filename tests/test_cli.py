@@ -276,6 +276,24 @@ def test_verify_ball_battery_passes(capsys):
         assert r["failures"] == 0
 
 
+def test_verify_ball_battery_passes_at_small_and_large_radii(capsys):
+    # sphere directions are resampled relative to the radius: no traceback
+    # at r <= 1e-3, no false partition failure at r = 1e12
+    for r in ("1e-12", "1e-3", "1e12"):
+        ball = '{"type":"ball","center":{"coeffs":[0,0,0]},"radius":%s}' % r
+        code, out, _ = run_cli(capsys, "verify", "--set", ball, "--trials", "200", "--seed", "1")
+        assert code == 0, r
+        assert json.loads(out)["failures"] == 0
+
+
+def test_bool_ambient_dim_exits_2(capsys):
+    empty = '{"type":"subspace","generators":[],"ambient_dim":true}'
+    code, out, err = run_cli(capsys, "project", "--set", empty, "--point", '{"coeffs":[1]}')
+    assert code == 2
+    assert out == ""
+    assert '"ambient_dim" must be an integer' in err
+
+
 def test_verify_trials_zero_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--set", UNIT_BALL, "--trials", "0"

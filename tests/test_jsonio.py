@@ -224,6 +224,12 @@ def test_decode_set_schema_errors():
         )
 
 
+def test_decode_set_rejects_a_bool_ambient_dim():
+    # bool is an int subtype: true must not pass as dimension 1
+    with pytest.raises(InputError, match='"ambient_dim" must be an integer'):
+        decode_set({"type": "subspace", "generators": [], "ambient_dim": True})
+
+
 def test_encode_value_dispatches_on_type():
     assert "coeffs" in encode_value(pt(1.0))
     f = BochnerFunction.from_dict(two_atom_space(), {"a": pt(1.0), "b": pt(2.0)})

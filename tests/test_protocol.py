@@ -302,3 +302,50 @@ def test_bochner_batch_functions_come_from_one_matrix(monkeypatch):
         assert calls == [shape]
         bases = {id(v.coeffs.base) for f in out for v in f.values}
         assert len(bases) == 1
+
+
+# -- the private protocol and the test pairs each set draws ------------------
+
+# called on the set itself
+_PROTOCOL = ("_project", "_project_rows", "_contains", "_interior", "_inverse_member",
+             "_member_rows", "_sample_pair")
+# called on the flat set that _flat_form returns (the Bochner cone's is the
+# positive cone of its k*d coordinates)
+_FLAT_PROTOCOL = ("_inverse_image_interior", "_segment_direction")
+
+
+def _protocol_sets():
+    space = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    return [
+        ClosedBall(pt(0.3, -0.2, 0.1, weights=[0.5, 1.0, 2.0]), 1.3),
+        PositiveCone(4),
+        SubspaceSpan((pt(0.6, 0.8, 0.0), pt(-0.8, 0.6, 0.0))),
+        SubspaceSpan((), ambient_dim=3),
+        SubspaceSpan((pt(0.6, 0.8), pt(-0.8, 0.6))),
+        BochnerPointwiseCone(space),
+        BochnerConstantSubspace(space),
+    ]
+
+
+_SET_IDS = ["ball", "cone", "span", "singleton", "full_span", "bochner_cone",
+            "bochner_constants"]
+
+
+@pytest.mark.parametrize("s", _protocol_sets(), ids=_SET_IDS)
+def test_every_set_class_defines_the_protocol(s):
+    for name in _PROTOCOL:
+        assert callable(getattr(type(s), name, None)), name
+    assert isinstance(s._vi_slack, float) and s._vi_slack > 0.0
+    x, _ = s._sample_pair(np.random.default_rng(0), False)
+    flat = hilproj.sets._flat_form(s, x)[0]
+    for name in _FLAT_PROTOCOL:
+        assert callable(getattr(type(flat), name, None)), name
+
+
+@pytest.mark.parametrize("s", _protocol_sets(), ids=_SET_IDS)
+def test_covered_sample_pairs_are_covered(s):
+    # property_battery counts an uncovered pair as a homogeneity failure
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x, v = s._sample_pair(rng, True)
+        assert derivative(s, x, v).covered

@@ -30,6 +30,8 @@ from hilproj import (
     norm,
     project,
     project_sequence,
+    property_battery,
+    variational_certificate,
 )
 
 SCALES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
@@ -209,3 +211,25 @@ def test_radius_1e_14_ball_places_a_point_50_radii_out_outside():
     assert np.allclose(got.value.coeffs, [0.0, 0.02], rtol=1e-12, atol=0.0)
     assert not contains(tiny, x)
     assert project(tiny, x) is not x
+
+
+@pytest.mark.parametrize("r", (1e-12, 1e-6, 1e-3, 1.0, 1e6, 1e12))
+def test_property_battery_is_clean_at_every_radius(r):
+    ball = ClosedBall(HilbertPoint(r * np.array([0.3, -0.2, 0.1, 0.4, -0.5]), W5), r)
+    reports = property_battery(ball, 200, seed=7)
+    assert len(reports) == 8
+    assert [rep["property"] for rep in reports if rep["failures"]] == []
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_sampled_variational_verdicts_scale(lam):
+    ball = ClosedBall(HilbertPoint(np.zeros(3)), lam)
+    x = HilbertPoint(lam * np.array([2.0, 0.0, 0.0]))
+    y = HilbertPoint(lam * np.array([0.6, 0.8, 0.0]))  # on the sphere, not P(x)
+    assert variational_certificate(ball, x, project(ball, x))["pass"]
+    assert not variational_certificate(ball, x, y)["pass"]
+    # 0.3 r off the ray through y: inside the loose band of the exact test,
+    # but the sampled inequality sees that y is not its image
+    near = HilbertPoint(lam * np.array([1.14, 1.02, 0.0]))
+    assert in_inverse_image(ball, y, near, tol=0.5)
+    assert not in_inverse_image(ball, y, near, sample_budget=200, tol=0.5)
