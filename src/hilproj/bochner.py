@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HilbertPoint, inner as point_inner, norm as point_norm
+from .core import HilbertPoint, _points_from_rows, inner as point_inner, norm as point_norm
 from .errors import (
     DimensionMismatch,
     EmptySubset,
@@ -119,6 +119,13 @@ class BochnerFunction:
         if extra:
             raise UnknownAtom(f"values given for unknown atoms {extra}")
         return cls(space, tuple(values_by_id[a] for a in space.atom_ids))
+
+
+def _function(space: DiscreteProbabilitySpace, values) -> BochnerFunction:
+    """A function on rows of one checked, unweighted (k, d) matrix: no per-atom re-check."""
+    f = object.__new__(BochnerFunction)
+    f.__dict__.update(space=space, values=tuple(values))
+    return f
 
 
 def check_same(f: BochnerFunction, g: BochnerFunction):
@@ -247,7 +254,7 @@ def _flat_point_dim(space: DiscreteProbabilitySpace, p: HilbertPoint) -> int:
 def unflatten(space: DiscreteProbabilitySpace, p: HilbertPoint) -> BochnerFunction:
     """Inverse of :func:`flatten`; the per-atom dimension is inferred."""
     blocks = p.coeffs.reshape(space.n_atoms, _flat_point_dim(space, p))
-    return BochnerFunction(space, tuple(HilbertPoint(row) for row in blocks))
+    return _function(space, _points_from_rows(blocks))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ The scalar geometry of the space lives here too: the modulus of convexity
 delta(eps) = 1 - sqrt(1 - eps^2/4), the modulus of smoothness
 rho(t) = sqrt(1 + t^2) - 1, and the one-sided directional derivative of the
 norm on the unit sphere, which reduces to the plain inner product.
+
+Points are validated at the boundary: the constructor, ``replace_coeffs`` and
+``_points_from_rows`` copy and check. Arithmetic on checked points builds its
+fresh result with ``_trusted``: the operand's weights object shared, only the
+finiteness check kept, so an overflow still raises. The oracles call ``_dot``
+and ``_norm``, the kernels of ``inner`` and ``norm``, on raw coefficients.
 """
 
 from __future__ import annotations
@@ -58,17 +64,17 @@ class HilbertPoint:
 
     def __add__(self, other: "HilbertPoint") -> "HilbertPoint":
         _check_compatible(self, other)
-        return HilbertPoint(self.coeffs + other.coeffs, self.weights)
+        return _trusted(self.coeffs + other.coeffs, self.weights)
 
     def __sub__(self, other: "HilbertPoint") -> "HilbertPoint":
         _check_compatible(self, other)
-        return HilbertPoint(self.coeffs - other.coeffs, self.weights)
+        return _trusted(self.coeffs - other.coeffs, self.weights)
 
     def __neg__(self) -> "HilbertPoint":
-        return HilbertPoint(-self.coeffs, self.weights)
+        return _trusted(-self.coeffs, self.weights)
 
     def __mul__(self, scalar: float) -> "HilbertPoint":
-        return HilbertPoint(self.coeffs * float(scalar), self.weights)
+        return _trusted(self.coeffs * float(scalar), self.weights)
 
     __rmul__ = __mul__
 
@@ -89,9 +95,7 @@ def _checked_arrays(coeffs, weights, axes: int) -> tuple:
     coeffs = np.array(coeffs, dtype=np.float64)
     if coeffs.ndim != axes:
         raise ValueError("coeffs must be one-dimensional")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coeffs must be finite")
-    coeffs.setflags(write=False)
+    coeffs = _finite(coeffs)
     if weights is not None:
         weights = np.array(weights, dtype=np.float64)
         if weights.shape != coeffs.shape[-1:]:
@@ -121,13 +125,28 @@ def _points_from_rows(rows, weights=None) -> list:
     return out
 
 
+def _finite(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs, made read-only, after the finiteness check."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coeffs must be finite")
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _trusted(coeffs: np.ndarray, weights) -> HilbertPoint:
+    """A point on a fresh array computed from checked points: weights shared, no copy."""
+    p = object.__new__(HilbertPoint)
+    p.__dict__.update(coeffs=_finite(coeffs), weights=weights)
+    return p
+
+
 def zeros_like(x: HilbertPoint) -> HilbertPoint:
-    return HilbertPoint(np.zeros(x.dim), x.weights)
+    return _trusted(np.zeros(x.dim), x.weights)
 
 
 def same_weights(x: HilbertPoint, y: HilbertPoint) -> bool:
     """Exact weighting equality: both absent, or element-wise equal."""
-    if x.weights is None and y.weights is None:
+    if x.weights is y.weights:
         return True
     if x.weights is None or y.weights is None:
         return False
@@ -153,14 +172,21 @@ def inner(x: HilbertPoint, y: HilbertPoint) -> float:
         vectors differ anywhere.
     """
     _check_compatible(x, y)
-    if x.weights is None:
-        return float(np.dot(x.coeffs, y.coeffs))
-    return float(np.dot(x.weights * x.coeffs, y.coeffs))
+    return _dot(x.weights, x.coeffs, y.coeffs)
+
+
+def _dot(w, a: np.ndarray, b: np.ndarray) -> float:
+    """inner() on coefficient arrays (w None when unweighted), rounding exactly as inner does."""
+    return float(np.dot(a if w is None else w * a, b))
 
 
 def norm(x: HilbertPoint) -> float:
     """Norm induced by :func:`inner`; always nonnegative."""
-    return math.sqrt(max(inner(x, x), 0.0))
+    return _norm(x.weights, x.coeffs)
+
+
+def _norm(w, a: np.ndarray) -> float:
+    return math.sqrt(max(_dot(w, a, a), 0.0))
 
 
 def modulus_convexity(eps: float) -> float:

@@ -8,7 +8,8 @@ Three tools, all deliberately ignorant of the analytic derivative formulas:
   agree pairwise and reporting a Richardson-extrapolated limit. Quotients
   use t > 0 only, matching the one-sided limit. When the sequence does not
   settle the estimate is returned with converged=False and no value; a
-  limit is never fabricated.
+  limit is never fabricated. The trail is projected as one (23, d) batch, or
+  step by step where the set's batch rounds differently (on a span).
 * :func:`variational_certificate` checks the defining inequality of the
   projection, <x - u, u - z> >= 0 against sampled members z of the set.
 * :func:`property_battery` runs the operator-level properties (variational,
@@ -16,10 +17,12 @@ Three tools, all deliberately ignorant of the analytic derivative formulas:
   idempotent, positively homogeneous, and the sphere direction partition)
   on seeded random inputs and reports failure counts and worst residuals.
 
-The battery draws its inputs from each set's ``_sample_pair(rng, covered)``
-(see :mod:`hilproj.sets`), over the case regions of Thm 4.1 and Thm 5.1.
-The partition probe steps by t r and reports drift / r, so every radius is
-probed alike. Identical seeds give bit-identical reports.
+The battery takes each residual on coefficient arrays through the kernels of
+``inner`` and ``norm``, so its reports keep the bits of the point formulas.
+It draws its inputs from each set's ``_sample_pair(rng, covered)`` (see
+:mod:`hilproj.sets`), over the case regions of Thm 4.1 and Thm 5.1. The
+partition probe steps by t r and reports drift / r, so every radius is probed
+alike. Identical seeds give bit-identical reports.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, inner, norm
+from .core import HilbertPoint, _check_compatible, _dot, _norm, _points_from_rows, norm
 from .derivatives import classify_direction, derivative
 from .errors import NotInSet, ZeroDirection
 from .projection import project
@@ -38,6 +41,7 @@ from .sets import (  # random_point and cone_region_point: re-exported for calle
     VI_SLACK,
     _flat_form,
     _min_variational_inner,
+    _stack,
     ball_region_point,
     cone_region_point,
     contains,
@@ -46,7 +50,7 @@ from .sets import (  # random_point and cone_region_point: re-exported for calle
     sphere_direction,
 )
 
-_STEP_KS = range(4, 27)
+_STEPS = 2.0 ** -np.arange(4.0, 27.0)
 
 
 @dataclass(frozen=True)
@@ -65,21 +69,19 @@ def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     if norm(vp) == 0.0:
         raise ZeroDirection("direction must be nonzero")
     base = project(flat, xp)
-    steps = []
-    for k in _STEP_KS:
-        t = 2.0 ** (-k)
-        quotient = (1.0 / t) * (project(flat, xp + t * vp) - base)
-        steps.append((t, quotient))
-    last = [q for _, q in steps[-3:]]
-    residual = max(
-        float(np.max(np.abs(a.coeffs - b.coeffs)))
-        for i, a in enumerate(last)
-        for b in last[i + 1:]
-    )
+    _check_compatible(xp, vp)
+    if flat._rows_round_as_points:
+        batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
+        trail = flat._project_rows(batch)
+    else:
+        trail = [flat._project(xp + t * vp) for t in _STEPS.tolist()]
+    quotients = (1.0 / _STEPS)[:, None] * (_stack(trail) - base.coeffs)
+    steps = list(zip(_STEPS.tolist(), _points_from_rows(quotients, base.weights)))
+    residual = float(np.ptp(quotients[-3:], axis=0).max())
     converged = residual <= tol
     value = None
     if converged:
-        value = 2.0 * last[2] - last[1]
+        value = 2.0 * steps[-1][1] - steps[-2][1]
     return OracleEstimate(
         value=value,
         step_sequence=tuple(steps),
@@ -149,18 +151,18 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
         y, _ = s._sample_pair(rng, False)
         px, py = project(s, x), project(s, y)
         zs = sample_points(s, n_z, rng, include=(px,))
-        wx = x - px
-        stats["variational"].record(-min(inner(wx, px - z) for z in zs))
-        stats["strengthened_variational"].record(
-            -min(inner(wx, x - z) - inner(wx, wx) for z in zs)
-        )
-        stats["monotone"].record(inner(px - py, px - py) - inner(px - py, x - y))
-        gap = norm(x - y) - norm(px - py)
+        for p in (y, px, py, zs[0]):  # the members share one weighting
+            _check_compatible(x, p)
+        w, xa, pa = x.weights, x.coeffs, px.coeffs
+        r, dp, dx = xa - pa, pa - py.coeffs, xa - y.coeffs
+        sq = _dot(w, r, r)
+        stats["variational"].record(-min(_dot(w, r, pa - z.coeffs) for z in zs))
+        stats["strengthened_variational"].record(-min(_dot(w, r, xa - z.coeffs) - sq for z in zs))
+        stats["monotone"].record(_dot(w, dp, dp) - _dot(w, dp, dx))
+        gap = _norm(w, dx) - _norm(w, dp)
         stats["nonexpansive"].record(-gap)
-        stats["nonexpansive_dichotomy"].record(
-            0.0 if gap > 0.0 else norm((px - py) - (x - y))
-        )
-        stats["idempotent"].record(norm(project(s, px) - px))
+        stats["nonexpansive_dichotomy"].record(0.0 if gap > 0.0 else _norm(w, dp - dx))
+        stats["idempotent"].record(_norm(w, project(s, px).coeffs - pa))
         xc, vc = s._sample_pair(rng, True)
         base = derivative(s, xc, vc)
         residual = float("inf")  # an uncovered call on a covered pair fails

@@ -207,6 +207,7 @@ class ClosedBall:
 
     center: HilbertPoint
     radius: float
+    _rows_round_as_points = True
 
     def __post_init__(self):
         r = float(self.radius)
@@ -304,6 +305,7 @@ class PositiveCone:
 
     dim: int
     _vi_slack = VI_SLACK
+    _rows_round_as_points = True
 
     def __post_init__(self):
         d = int(self.dim)
@@ -368,6 +370,8 @@ class SubspaceSpan:
     generators: tuple = ()
     ambient_dim: int | None = None
     _vi_slack = VI_SLACK
+    # _project_rows rounds unlike _project: stacked X W G^T G, not one row's product
+    _rows_round_as_points = False
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -494,6 +498,7 @@ class _BochnerSet:
 
     space: bo.DiscreteProbabilitySpace
     _vi_slack = VI_SLACK
+    _rows_round_as_points = True
 
     def _atoms(self, x) -> np.ndarray:
         """x's values as a (k, d) array, after the space or flat-weight checks."""
@@ -517,7 +522,7 @@ class _BochnerSet:
         """(k, d) atom values, or their flat vector, in the form of x."""
         atoms = np.reshape(atoms, (self.space.n_atoms, -1))
         if isinstance(x, bo.BochnerFunction):
-            return bo.BochnerFunction(self.space, tuple(_points_from_rows(atoms)))
+            return bo._function(self.space, _points_from_rows(atoms))
         return HilbertPoint(atoms.ravel(), bo.flat_weights(self.space, atoms.shape[1]))
 
     def _project(self, x):
@@ -544,8 +549,7 @@ class _BochnerSet:
         """One function per (k, d) slice of values, from one (n*k, d) point matrix."""
         k = self.space.n_atoms
         rows = _points_from_rows(values.reshape(-1, values.shape[-1]))
-        return [bo.BochnerFunction(self.space, tuple(rows[m * k:(m + 1) * k]))
-                for m in range(len(values))]
+        return [bo._function(self.space, rows[m * k:(m + 1) * k]) for m in range(len(values))]
 
     def _sample_dim(self, anchors) -> int:
         if not anchors:
@@ -628,7 +632,8 @@ class BochnerConstantSubspace(_BochnerSet):
 
     def _functions(self, values: np.ndarray) -> list:
         """The constant functions at the means, from one (n, d) point matrix."""
-        return [bo.constant_function(self.space, p) for p in _points_from_rows(values[:, 0])]
+        k = self.space.n_atoms
+        return [bo._function(self.space, (p,) * k) for p in _points_from_rows(values[:, 0])]
 
     def _spread(self, values: np.ndarray) -> float:
         """||f - E(f)||, the distance of f to the constants."""

@@ -218,3 +218,35 @@ def test_triangle_inequality(xs, data):
     ys = data.draw(st.lists(coords, min_size=len(xs), max_size=len(xs)))
     x, y = HilbertPoint(np.array(xs)), HilbertPoint(np.array(ys))
     assert norm(x + y) <= norm(x) + norm(y) + 1e-9 * max(1.0, norm(x) + norm(y))
+
+
+def test_arithmetic_keeps_the_finiteness_check():
+    big = pt(1e308, -1e308, weights=[1.0, 2.0])
+    with np.errstate(over="ignore"):
+        for overflow in (lambda: big * 10.0, lambda: 10.0 * big, lambda: big + big,
+                         lambda: big - (-big)):
+            with pytest.raises(ValueError, match="^coeffs must be finite$"):
+                overflow()
+
+
+def test_arithmetic_results_are_read_only_and_share_the_weights():
+    x, y = pt(1.0, 2.0, weights=[0.5, 2.0]), pt(3.0, -1.0, weights=[0.5, 2.0])
+    for r in (x + y, x - y, -x, 2.0 * x, x * 2.0, zeros_like(x)):
+        assert r.weights is x.weights
+        assert r.coeffs.dtype == np.float64
+        with pytest.raises(ValueError):
+            r.coeffs[0] = 5.0
+    assert (-pt(1.0)).weights is None
+
+
+def test_arithmetic_mismatch_messages():
+    x = pt(1.0, 2.0, weights=[1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="^dimensions 2 and 3 differ$"):
+        x + pt(1.0, 2.0, 3.0, weights=[1.0, 2.0, 3.0])
+    message = "^points carry different inner-product weights$"
+    for other in (pt(1.0, 2.0), pt(1.0, 2.0, weights=[1.0, 3.0])):
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(WeightMismatch, match=message):
+                a + b
+            with pytest.raises(WeightMismatch, match=message):
+                a - b
