@@ -2,31 +2,33 @@
 
 The space L2(S; H) is discretized: S is a finite list of atoms with strictly
 positive weights summing to one, and a function assigns one coefficient
-vector (an unweighted :class:`~hilproj.core.HilbertPoint` of common
-dimension d) to each atom. Norm and inner product are the weighted sums
+vector of common dimension d to each atom. A :class:`BochnerFunction` over
+k atoms stores them as one read-only (k, d) array, row s the value at atom
+s. Norm and inner product are the weighted sums
 
     ||f||^2 = sum_s mu(s) ||f(s)||^2,
     <f, g>  = sum_s mu(s) <f(s), g(s)>,
 
-which is the atomic form of the Bochner integrals. A function over k
-atoms with d coordinates flattens (:func:`flatten`) to one k*d vector,
-atom-major, whose weights repeat each atom weight d times. That flattening
-is an isometry, so closed-form facts about balls and cones apply verbatim to
-the Bochner constructions. The set classes of :mod:`hilproj.sets` for the
-pointwise cone and the constants are adapters built on it: they check and
-flatten an argument once, apply the flat rule and return the result in the
-argument's form. The cone helpers of this module call those classes, so the
-cone rules have one definition.
+which is the atomic form of the Bochner integrals. The function flattens
+(:func:`flatten`) to one k*d vector, atom-major, whose weights repeat each
+atom weight d times: the same array read as a vector, not a copy, and
+:func:`unflatten` reads it back. That flattening is an isometry, so
+closed-form facts about balls and cones apply verbatim to the Bochner
+constructions. The set classes of :mod:`hilproj.sets` for the pointwise cone
+and the constants are adapters built on it: they read an argument in either
+form as its (k, d) array, apply the flat rule and return the result in the
+argument's form. The cone helpers and :func:`expectation` call those
+classes, so the cone rules and E(f) have one definition.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, _points_from_rows, inner as point_inner, norm as point_norm
+from .core import HilbertPoint, _dot, _finite, _norm, _trusted, _trusted_rows
 from .errors import (
     DimensionMismatch,
     EmptySubset,
@@ -84,16 +86,21 @@ class DiscreteProbabilitySpace:
         return self.atom_ids == other.atom_ids and np.array_equal(self.weights, other.weights)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BochnerFunction:
-    """One unweighted HilbertPoint per atom, all of a common dimension."""
+    """A function over the atoms of ``space``: one read-only (k, d) float64 array.
+
+    Row s of ``array`` is the value at atom s. The constructor takes one
+    unweighted HilbertPoint per atom, all of a common dimension, and copies
+    their coefficients into the array once.
+    """
 
     space: DiscreteProbabilitySpace
-    values: tuple = field(default=())
+    array: np.ndarray
 
-    def __post_init__(self):
-        values = tuple(self.values)
-        if len(values) != self.space.n_atoms:
+    def __init__(self, space: DiscreteProbabilitySpace, values=()):
+        values = tuple(values)
+        if len(values) != space.n_atoms:
             raise ValueError("one value per atom required")
         dims = {v.dim for v in values}
         if len(dims) != 1:
@@ -101,14 +108,21 @@ class BochnerFunction:
         for v in values:
             if v.weights is not None:
                 raise ValueError("per-atom values must be unweighted")
-        object.__setattr__(self, "values", values)
+        array = np.concatenate([v.coeffs for v in values]).reshape(len(values), -1)
+        array.setflags(write=False)
+        self.__dict__.update(space=space, array=array)
+
+    @property
+    def values(self) -> tuple:
+        """One unweighted point per atom, each a read-only row of ``array``."""
+        return tuple(_trusted_rows(self.array, None))
 
     @property
     def point_dim(self) -> int:
-        return self.values[0].dim
+        return self.array.shape[1]
 
     def value_at(self, atom_id: str) -> HilbertPoint:
-        return self.values[self.space.index_of(atom_id)]
+        return _trusted(self.array[self.space.index_of(atom_id)], None)
 
     @classmethod
     def from_dict(cls, space: DiscreteProbabilitySpace, values_by_id: dict) -> "BochnerFunction":
@@ -121,10 +135,10 @@ class BochnerFunction:
         return cls(space, tuple(values_by_id[a] for a in space.atom_ids))
 
 
-def _function(space: DiscreteProbabilitySpace, values) -> BochnerFunction:
-    """A function on rows of one checked, unweighted (k, d) matrix: no per-atom re-check."""
+def _function(space: DiscreteProbabilitySpace, array: np.ndarray) -> BochnerFunction:
+    """A function on a (k, d) array computed from checked input: no copy, finiteness checked."""
     f = object.__new__(BochnerFunction)
-    f.__dict__.update(space=space, values=tuple(values))
+    f.__dict__.update(space=space, array=_finite(array))
     return f
 
 
@@ -162,14 +176,9 @@ def subset_measure(space: DiscreteProbabilitySpace, atom_subset) -> float:
 
 
 def bochner_inner(f: BochnerFunction, g: BochnerFunction) -> float:
-    """<f, g> = sum_s mu(s) <f(s), g(s)>."""
+    """<f, g> = sum_s mu(s) <f(s), g(s)>, summed atom by atom."""
     check_same(f, g)
-    return float(
-        sum(
-            w * point_inner(fv, gv)
-            for w, fv, gv in zip(f.space.weights, f.values, g.values)
-        )
-    )
+    return float(sum(w * _dot(None, a, b) for w, a, b in zip(f.space.weights, f.array, g.array)))
 
 
 def bochner_norm(f: BochnerFunction) -> float:
@@ -178,10 +187,9 @@ def bochner_norm(f: BochnerFunction) -> float:
 
 def expectation(f: BochnerFunction) -> HilbertPoint:
     """E(f) = sum_s mu(s) f(s), an unweighted point of dimension d."""
-    acc = np.zeros(f.point_dim)
-    for w, v in zip(f.space.weights, f.values):
-        acc += w * v.coeffs
-    return HilbertPoint(acc)
+    from .sets import BochnerConstantSubspace
+
+    return _trusted(BochnerConstantSubspace(f.space)._mean(f.array), None)
 
 
 def project_pointwise_cone(f: BochnerFunction) -> BochnerFunction:
@@ -224,14 +232,15 @@ def cone_inverse_check(g: BochnerFunction, f: BochnerFunction, tol: float = _COE
 
 
 def flatten(f: BochnerFunction) -> HilbertPoint:
-    """Atom-major coefficient vector with each atom weight repeated d times."""
-    coeffs = np.concatenate([v.coeffs for v in f.values])
-    weights = np.repeat(f.space.weights, f.point_dim)
-    return HilbertPoint(coeffs, weights)
+    """Atom-major coefficient vector with each atom weight repeated d times: f.array as k*d."""
+    return _trusted(f.array.reshape(-1), flat_weights(f.space, f.point_dim))
 
 
 def flat_weights(space: DiscreteProbabilitySpace, point_dim: int) -> np.ndarray:
-    return np.repeat(space.weights, point_dim)
+    """Each atom weight repeated point_dim times, read-only."""
+    w = np.repeat(space.weights, point_dim)
+    w.setflags(write=False)
+    return w
 
 
 def _flat_point_dim(space: DiscreteProbabilitySpace, p: HilbertPoint) -> int:
@@ -252,9 +261,8 @@ def _flat_point_dim(space: DiscreteProbabilitySpace, p: HilbertPoint) -> int:
 
 
 def unflatten(space: DiscreteProbabilitySpace, p: HilbertPoint) -> BochnerFunction:
-    """Inverse of :func:`flatten`; the per-atom dimension is inferred."""
-    blocks = p.coeffs.reshape(space.n_atoms, _flat_point_dim(space, p))
-    return _function(space, _points_from_rows(blocks))
+    """Inverse of :func:`flatten`, viewing p's coefficients; the per-atom dimension is inferred."""
+    return _function(space, p.coeffs.reshape(space.n_atoms, _flat_point_dim(space, p)))
 
 
 @dataclass(frozen=True)
@@ -330,5 +338,5 @@ def isometric_embedding(space: DiscreteProbabilitySpace, atom_subset, x: Hilbert
 
 def bochner_distance(f: BochnerFunction, g: BochnerFunction) -> float:
     check_same(f, g)
-    diff = [point_norm(fv - gv) ** 2 for fv, gv in zip(f.values, g.values)]
+    diff = [_norm(None, row) ** 2 for row in f.array - g.array]
     return float(np.sqrt(max(np.dot(f.space.weights, diff), 0.0)))

@@ -113,7 +113,11 @@ def _points_from_rows(rows, weights=None) -> list:
     matrix instead of once per row. Every point's coefficients are a
     read-only row of one private copy of ``rows``.
     """
-    rows, weights = _checked_arrays(rows, weights, 2)
+    return _trusted_rows(*_checked_arrays(rows, weights, 2))
+
+
+def _trusted_rows(rows: np.ndarray, weights) -> list:
+    """One point per row of a checked read-only 2-D array: no copy, no check."""
     new = object.__new__
     out = []
     for row in rows:

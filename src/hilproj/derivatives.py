@@ -275,7 +275,7 @@ def homogeneity_check(derive, x, v, lam: float) -> bool:
         raise ValueError("homogeneity scale must be positive")
     base = derive(x, v)
     scaled = derive(x, lam * v if not isinstance(v, bo.BochnerFunction)
-                    else bo.BochnerFunction(v.space, tuple(lam * w for w in v.values)))
+                    else bo.unflatten(v.space, lam * bo.flatten(v)))
     if not (base.covered and scaled.covered):
         raise NotCovered("homogeneity needs both derivative calls covered")
     b = bo.flatten(base.value) if isinstance(base.value, bo.BochnerFunction) else base.value

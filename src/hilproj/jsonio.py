@@ -151,7 +151,7 @@ def decode_space(obj) -> bo.DiscreteProbabilitySpace:
 def encode_function(f: bo.BochnerFunction) -> dict:
     return {
         "space": encode_space(f.space),
-        "values": {a: encode_point(v) for a, v in zip(f.space.atom_ids, f.values)},
+        "values": {a: {"coeffs": row.tolist()} for a, row in zip(f.space.atom_ids, f.array)},
     }
 
 

@@ -8,8 +8,9 @@ Three tools, all deliberately ignorant of the analytic derivative formulas:
   agree pairwise and reporting a Richardson-extrapolated limit. Quotients
   use t > 0 only, matching the one-sided limit. When the sequence does not
   settle the estimate is returned with converged=False and no value; a
-  limit is never fabricated. The trail is projected as one (23, d) batch, or
-  step by step where the set's batch rounds differently (on a span).
+  limit is never fabricated. The trail is projected as one (23, d) batch
+  through ``project_sequence``'s kernel, which equals a per-step ``project``
+  loop bit for bit on every set.
 * :func:`variational_certificate` checks the defining inequality of the
   projection, <x - u, u - z> >= 0 against sampled members z of the set.
 * :func:`property_battery` runs the operator-level properties (variational,
@@ -70,11 +71,8 @@ def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
         raise ZeroDirection("direction must be nonzero")
     base = project(flat, xp)
     _check_compatible(xp, vp)
-    if flat._rows_round_as_points:
-        batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
-        trail = flat._project_rows(batch)
-    else:
-        trail = [flat._project(xp + t * vp) for t in _STEPS.tolist()]
+    batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
+    trail = flat._project_rows(batch)
     quotients = (1.0 / _STEPS)[:, None] * (_stack(trail) - base.coeffs)
     steps = list(zip(_STEPS.tolist(), _points_from_rows(quotients, base.weights)))
     residual = float(np.ptp(quotients[-3:], axis=0).max())

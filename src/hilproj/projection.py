@@ -15,12 +15,13 @@ formula is continuous at the sphere, both branches agree to 1e-12 r there,
 and skipping the division avoids amplifying a near-zero denominator.
 
 The Bochner sets are adapters: an argument in function form or in flattened
-form is checked and flattened once, the flat rule is applied, and the result
-comes back in the argument's form.
+form is checked once and read as its (k, d) array of atom values, the flat
+rule is applied, and the result comes back in the argument's form.
 
 :func:`project_sequence` evaluates the same formulas on a whole batch at
-once: the points are stacked into one array, projected by one array
-expression per set variant, and handed back as read-only rows of the result.
+once: the points are stacked into one array and projected by one array
+expression per set variant (one product per row on a span, as
+:func:`project` takes it), and handed back as read-only rows of the result.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ def project_sequence(s, xs) -> list:
 
     Each element is first checked as :func:`project` checks it, with the
     same exception type and message prefixed by ``element i:``. The batch is
-    then stacked and projected as one array, so the result equals
-    element-wise :func:`project` (bit for bit on balls and cones, to
-    rounding on spans and Bochner constants). Points in the result are
-    read-only rows of that array; Bochner results mirror each element's form.
+    then stacked and projected as one array, and the result equals
+    element-wise :func:`project` bit for bit on every set. Points in the
+    result are read-only rows of that array; Bochner results mirror each
+    element's form.
     """
     xs = list(xs)
     return s._project_rows(xs) if xs else []

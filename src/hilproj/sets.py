@@ -22,9 +22,10 @@ relative to the radius. The public functions delegate to them.
   constant value.
 
 The Bochner sets are adapters. They accept a BochnerFunction or its
-flattened weighted coefficient vector, check and flatten it once, apply the
-flat rule (the cone rules, which ignore the weights, or one mu-weighted
-expectation kernel) and return results in the form of the argument.
+flattened weighted coefficient vector, check it once and read either form as
+one (k, d) array without a copy, apply the flat rule (the cone rules, which
+ignore the weights, or one mu-weighted expectation kernel) and return
+results in the form of the argument.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ from .core import (
     HilbertPoint,
     _check_compatible,
     _check_tol,
+    _dot,
+    _norm,
     _points_from_rows,
+    _trusted,
     inner,
     norm,
     same_weights,
@@ -165,13 +169,15 @@ def sphere_direction(ball: ClosedBall, x: HilbertPoint, klass: DirectionClass, r
     r, as <x - c, v> does, so every radius rejects the same share of draws.
     """
     d = x - ball.center
+    w = ball.center.weights
     for _ in range(1000):
-        v = random_point(rng, ball.dim, ball.center.weights)
-        g = inner(d, v)
-        if abs(g) < margin * ball.radius * max(norm(v), margin):
+        # each draw is tested on its array; only the accepted one becomes a point
+        v = rng.uniform(-2.0, 2.0, ball.dim)
+        g = _dot(w, d.coeffs, v)
+        if abs(g) < margin * ball.radius * max(_norm(w, v), margin):
             continue
         if (g >= 0.0) == (klass is DirectionClass.UP):
-            return v
+            return _trusted(v, w)
     raise RuntimeError("direction sampling failed to hit the requested class")
 
 
@@ -207,7 +213,6 @@ class ClosedBall:
 
     center: HilbertPoint
     radius: float
-    _rows_round_as_points = True
 
     def __post_init__(self):
         r = float(self.radius)
@@ -305,7 +310,6 @@ class PositiveCone:
 
     dim: int
     _vi_slack = VI_SLACK
-    _rows_round_as_points = True
 
     def __post_init__(self):
         d = int(self.dim)
@@ -370,8 +374,6 @@ class SubspaceSpan:
     generators: tuple = ()
     ambient_dim: int | None = None
     _vi_slack = VI_SLACK
-    # _project_rows rounds unlike _project: stacked X W G^T G, not one row's product
-    _rows_round_as_points = False
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -440,7 +442,9 @@ class SubspaceSpan:
                 _check_compatible(x, self.generators[0])
 
         _check_each(xs, check)
-        return _rows_weighted_like(self._coords(_stack(xs)) @ self._basis, xs)
+        # one product per row, as _project takes it: a stacked X W G^T G rounds differently
+        rows = [self._coords(x.coeffs) @ self._basis for x in xs]
+        return _rows_weighted_like(np.stack(rows), xs)
 
     def _contains(self, x, tol: float) -> bool:
         _check_dim(self, x)
@@ -488,24 +492,23 @@ class SubspaceSpan:
 
 @dataclass(frozen=True, eq=False)
 class _BochnerSet:
-    """Adapter shared by the Bochner sets: one check and flattening per argument.
+    """Adapter shared by the Bochner sets: one check per argument.
 
     An argument is a BochnerFunction over ``space`` or its flattened point,
-    whose weights repeat each atom weight d times. Rules run on the (k, d)
-    atom values or on the flat points; results come back in the argument's
-    form.
+    whose weights repeat each atom weight d times. Rules run on its (k, d)
+    atom values (a function's ``array``, or the flat coefficients reshaped)
+    or on flat points viewing them; results come back in the argument's form.
     """
 
     space: bo.DiscreteProbabilitySpace
     _vi_slack = VI_SLACK
-    _rows_round_as_points = True
 
     def _atoms(self, x) -> np.ndarray:
         """x's values as a (k, d) array, after the space or flat-weight checks."""
         if isinstance(x, bo.BochnerFunction):
             if not x.space.same_space(self.space):
                 raise DimensionMismatch("function lives over a different probability space")
-            return np.concatenate([v.coeffs for v in x.values]).reshape(self.space.n_atoms, -1)
+            return x.array
         return x.coeffs.reshape(self.space.n_atoms, bo._flat_point_dim(self.space, x))
 
     def _flat_args(self, *points) -> tuple:
@@ -515,41 +518,28 @@ class _BochnerSet:
         for a in atoms[1:]:
             if a.shape[1] != d:
                 raise SpaceMismatch(f"per-atom dimensions {d} and {a.shape[1]} differ")
-        rows = np.stack([a.ravel() for a in atoms])
-        return (self._flat_set(d), *_points_from_rows(rows, bo.flat_weights(self.space, d)))
+        w = bo.flat_weights(self.space, d)
+        return (self._flat_set(d), *(_trusted(a.reshape(-1), w) for a in atoms))
 
     def _like(self, x, atoms: np.ndarray):
         """(k, d) atom values, or their flat vector, in the form of x."""
         atoms = np.reshape(atoms, (self.space.n_atoms, -1))
         if isinstance(x, bo.BochnerFunction):
-            return bo._function(self.space, _points_from_rows(atoms))
-        return HilbertPoint(atoms.ravel(), bo.flat_weights(self.space, atoms.shape[1]))
+            return bo._function(self.space, atoms)
+        return _trusted(atoms.reshape(-1), bo.flat_weights(self.space, atoms.shape[1]))
 
     def _project(self, x):
         return self._like(x, self._project_atoms(self._atoms(x)))
 
     def _project_rows(self, xs) -> list:
-        """The batch as one (n, k, d) array per per-atom dimension d and form."""
+        """The batch as one (n, k, d) array per per-atom dimension d."""
         atoms = _check_each(xs, self._atoms)
-        keys = ((a.shape[1], isinstance(x, bo.BochnerFunction)) for a, x in zip(atoms, xs))
         out = [None] * len(xs)
-        for (d, is_fn), idx in _indices_by_key(keys).items():
-            stacked = np.concatenate([atoms[i] for i in idx]).reshape(len(idx), -1, d)
-            values = self._project_atoms(stacked)
-            if is_fn:
-                points = self._functions(values)
-            else:
-                flat = values.reshape(len(idx), -1)
-                points = _points_from_rows(flat, bo.flat_weights(self.space, d))
-            for i, p in zip(idx, points):
-                out[i] = p
+        for idx in _indices_by_key(a.shape[1] for a in atoms).values():
+            values = self._project_atoms(np.stack([atoms[i] for i in idx]))
+            for i, v in zip(idx, values):
+                out[i] = self._like(xs[i], v)
         return out
-
-    def _functions(self, values: np.ndarray) -> list:
-        """One function per (k, d) slice of values, from one (n*k, d) point matrix."""
-        k = self.space.n_atoms
-        rows = _points_from_rows(values.reshape(-1, values.shape[-1]))
-        return [bo._function(self.space, rows[m * k:(m + 1) * k]) for m in range(len(values))]
 
     def _sample_dim(self, anchors) -> int:
         if not anchors:
@@ -629,11 +619,6 @@ class BochnerConstantSubspace(_BochnerSet):
 
     def _project_atoms(self, values: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self._mean(values)[..., None, :], values.shape)
-
-    def _functions(self, values: np.ndarray) -> list:
-        """The constant functions at the means, from one (n, d) point matrix."""
-        k = self.space.n_atoms
-        return [bo._function(self.space, (p,) * k) for p in _points_from_rows(values[:, 0])]
 
     def _spread(self, values: np.ndarray) -> float:
         """||f - E(f)||, the distance of f to the constants."""

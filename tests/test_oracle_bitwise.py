@@ -4,8 +4,8 @@
 ``property_battery`` takes its residuals on coefficient arrays. Both must
 give exactly what a per-step ``project`` loop and the ``inner``/``norm``
 formulas on points give. A stacked span product rounds differently from the
-one-point product, so the span case here fails if the span trail is
-batched.
+one-point product, so the span case here fails if the span's batch kernel
+stacks its products instead of taking one per row.
 """
 
 import math
@@ -183,3 +183,15 @@ def test_oracles_validate_points_at_the_boundary_only(monkeypatch):
     calls.clear()
     property_battery(ball, 6, seed=0)
     assert len(calls) <= 100  # 424 with a checked point per arithmetic step
+
+
+def test_sphere_direction_checks_no_draw(monkeypatch):
+    rng = np.random.default_rng(4)
+    ball = ClosedBall(HilbertPoint(rng.uniform(-1.0, 1.0, 8), rng.uniform(0.5, 2.0, 8)), 1.2)
+    xs = ball_region_point(ball, "sphere", rng)
+    calls = _count_checks(monkeypatch)
+    for klass in (DirectionClass.UP, DirectionClass.DOWN) * 10:
+        v = sphere_direction(ball, xs, klass, rng)
+        assert classify_direction(ball, xs, v) is klass
+        assert v.weights is ball.center.weights
+    assert calls == []

@@ -313,6 +313,40 @@ def test_project_sequence_span_matches_single_calls():
         assert_same_point(got, project(singleton, x))
 
 
+@pytest.mark.parametrize("n", [1, 2, 23, 50])
+def test_project_sequence_weighted_span_bitwise(n):
+    # a stacked X W G^T G rounds unlike one row's product; the batch takes the latter
+    rng = np.random.default_rng(34)
+    d, m = 200, 50
+    w = rng.uniform(0.5, 2.0, d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, m)))
+    span = SubspaceSpan(tuple(HilbertPoint(col / np.sqrt(w), w) for col in q.T))
+    xs = [HilbertPoint(rng.uniform(-2.0, 2.0, d), w) for _ in range(n)]
+    for x, got in zip(xs, project_sequence(span, xs)):
+        assert_same_point(got, project(span, x))
+
+
+def test_project_sequence_equals_project_on_every_set():
+    rng = np.random.default_rng(35)
+    sp = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    w = rng.uniform(0.5, 2.0, 6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    cases = [
+        (ClosedBall(HilbertPoint(rng.uniform(-1.0, 1.0, 6), w), 1.3), w),
+        (PositiveCone(6), None),
+        (SubspaceSpan(tuple(HilbertPoint(col) for col in q.T)), None),
+        (BochnerPointwiseCone(sp), flat_weights(sp, 2)),
+        (BochnerConstantSubspace(sp), flat_weights(sp, 2)),
+    ]
+    for s, weights in cases:
+        xs = [HilbertPoint(rng.uniform(-3.0, 3.0, 6), weights) for _ in range(7)]
+        if weights is not None and s.__class__.__name__.startswith("Bochner"):
+            xs += [BochnerFunction(sp, tuple(HilbertPoint(r) for r in x.coeffs.reshape(3, 2)))
+                   for x in xs]
+        for x, got in zip(xs, project_sequence(s, xs)):
+            assert_same_point(got, project(s, x))
+
+
 def test_project_sequence_outputs_are_read_only():
     sp = DiscreteProbabilitySpace(("a", "b"), np.array([0.25, 0.75]))
     f = BochnerFunction(sp, (pt(1.0, -2.0), pt(-3.0, 4.0)))
