@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, _dot, _finite, _norm, _trusted, _trusted_rows
+from .core import HilbertPoint, _dot, _norm, _trusted, _trusted_rows
 from .errors import (
     DimensionMismatch,
     EmptySubset,
@@ -115,7 +115,7 @@ class BochnerFunction:
     @property
     def values(self) -> tuple:
         """One unweighted point per atom, each a read-only row of ``array``."""
-        return tuple(_trusted_rows(self.array, None))
+        return tuple(_trusted_rows(self.array, itertools.repeat(None)))
 
     @property
     def point_dim(self) -> int:
@@ -136,9 +136,9 @@ class BochnerFunction:
 
 
 def _function(space: DiscreteProbabilitySpace, array: np.ndarray) -> BochnerFunction:
-    """A function on a (k, d) array computed from checked input: no copy, finiteness checked."""
+    """A function on a checked read-only (k, d) array: no copy, no check."""
     f = object.__new__(BochnerFunction)
-    f.__dict__.update(space=space, array=_finite(array))
+    f.__dict__.update(space=space, array=array)
     return f
 
 

@@ -35,8 +35,7 @@ from .errors import (
     WeightMismatch,
 )
 from .oracle import fd_derivative, property_battery
-from .projection import _gap, project
-from .sets import ClosedBall, classify_point, in_inverse_image, is_bochner_set
+from .sets import ClosedBall, _gap, classify_point, in_inverse_image, is_bochner_set, project
 
 _DIM_ERRORS = (DimensionMismatch, WeightMismatch, SpaceMismatch)
 # every other library error, and bad values, are input errors

@@ -16,14 +16,18 @@ norm on the unit sphere, which reduces to the plain inner product.
 Points are validated at the boundary: the constructor, ``replace_coeffs`` and
 ``_points_from_rows`` copy and check. Arithmetic on checked points builds its
 fresh result with ``_trusted``: the operand's weights object shared, only the
-finiteness check kept, so an overflow still raises. The oracles call ``_dot``
-and ``_norm``, the kernels of ``inner`` and ``norm``, on raw coefficients.
+finiteness check kept, so an overflow still raises. Every batch of new points
+(``_points_from_rows``, each set's batch projection, a function's per-atom
+values) comes from one row loop, ``_trusted_rows``, which wraps the rows of a
+checked array with one weighting per row. The oracles call ``_dot`` and
+``_norm``, the kernels of ``inner`` and ``norm``, on raw coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -113,18 +117,24 @@ def _points_from_rows(rows, weights=None) -> list:
     matrix instead of once per row. Every point's coefficients are a
     read-only row of one private copy of ``rows``.
     """
-    return _trusted_rows(*_checked_arrays(rows, weights, 2))
+    rows, weights = _checked_arrays(rows, weights, 2)
+    return _trusted_rows(rows, repeat(weights))
 
 
 def _trusted_rows(rows: np.ndarray, weights) -> list:
-    """One point per row of a checked read-only 2-D array: no copy, no check."""
+    """One point per row of a checked read-only 2-D array (or any iterable of
+    such rows): no copy, no check.
+
+    ``weights`` gives one weighting per row (an iterable): row i carries the
+    i-th weights object itself, or None.
+    """
     new = object.__new__
     out = []
-    for row in rows:
+    for row, w in zip(rows, weights):
         p = new(HilbertPoint)
         fields = p.__dict__
         fields["coeffs"] = row
-        fields["weights"] = weights
+        fields["weights"] = w
         out.append(p)
     return out
 

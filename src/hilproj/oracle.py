@@ -35,7 +35,6 @@ import numpy as np
 from .core import HilbertPoint, _check_compatible, _dot, _norm, _points_from_rows, norm
 from .derivatives import classify_direction, derivative
 from .errors import NotInSet, ZeroDirection
-from .projection import project
 from .sets import (  # random_point and cone_region_point: re-exported for callers
     ClosedBall,
     DirectionClass,
@@ -46,6 +45,7 @@ from .sets import (  # random_point and cone_region_point: re-exported for calle
     ball_region_point,
     cone_region_point,
     contains,
+    project,
     random_point,
     sample_points,
     sphere_direction,

@@ -1,4 +1,4 @@
-"""Closed convex set descriptions and their exact membership geometry.
+"""Closed convex sets: their metric projections and exact membership geometry.
 
 Five set variants are supported: closed balls, the positive cone of a
 truncated orthonormal basis, spans of orthonormal generators, and the two
@@ -10,10 +10,13 @@ projection, membership, the interior test that separates internal points
 behind Lem 3.1 and Prop 3.2, member sampling, the slack of the sampled
 variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's
 test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1 with margins
-relative to the radius. The public functions delegate to them.
+relative to the radius. The public functions (:func:`project`,
+:func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate
+to them.
 
-* ball, y on the sphere: the inverse image is the outward ray y + t(y - c),
-  t >= 0;
+* ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
+  c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
+  the outward ray y + t(y - c), t >= 0;
 * cone: x projects onto y iff x agrees with y on the strictly positive
   coordinates and is nonpositive on the zero coordinates;
 * subspace span: the inverse image of y is y + D-perp;
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,9 +46,11 @@ from .core import (
     _check_compatible,
     _check_tol,
     _dot,
+    _finite,
     _norm,
     _points_from_rows,
     _trusted,
+    _trusted_rows,
     inner,
     norm,
     same_weights,
@@ -121,16 +127,6 @@ def _indices_by_key(keys) -> dict:
 def _stack(xs) -> np.ndarray:
     """The points' coefficients as the rows of one (n, d) array."""
     return np.concatenate([x.coeffs for x in xs]).reshape(len(xs), -1)
-
-
-def _rows_weighted_like(rows: np.ndarray, xs) -> list:
-    """Points for the rows, row i carrying the weighting of xs[i]."""
-    groups = _indices_by_key(None if x.weights is None else x.weights.tobytes() for x in xs)
-    out = [None] * len(xs)
-    for idx in groups.values():
-        for i, p in zip(idx, _points_from_rows(rows[idx], xs[idx[0]].weights)):
-            out[i] = p
-    return out
 
 
 def random_point(rng, dim: int, weights=None, scale: float = 2.0) -> HilbertPoint:
@@ -248,9 +244,11 @@ class ClosedBall:
         # radial scale agree with _project bit for bit
         dist = np.sqrt(np.maximum((wdiff[:, None, :] @ diff[:, :, None])[:, 0, 0], 0.0))
         outside = np.flatnonzero(self._place(dist, _SPHERE_BAND) > 0)
+        # points inside the band are their own projections, as in _project;
+        # the rest share the centre's weights, which every row was checked against
         out = list(xs)
-        rows = c.coeffs + (self.radius / dist[outside])[:, None] * diff[outside]
-        for i, p in zip(outside, _points_from_rows(rows, c.weights)):
+        rows = _finite(c.coeffs + (self.radius / dist[outside])[:, None] * diff[outside])
+        for i, p in zip(outside, _trusted_rows(rows, repeat(c.weights))):
             out[i] = p
         return out
 
@@ -323,7 +321,7 @@ class PositiveCone:
 
     def _project_rows(self, xs) -> list:
         _check_each(xs, lambda x: _check_dim(self, x, "cone"))
-        return _rows_weighted_like(clip_nonnegative(_stack(xs)), xs)
+        return _trusted_rows(_finite(clip_nonnegative(_stack(xs))), (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
         _check_dim(self, x)
@@ -443,8 +441,8 @@ class SubspaceSpan:
 
         _check_each(xs, check)
         # one product per row, as _project takes it: a stacked X W G^T G rounds differently
-        rows = [self._coords(x.coeffs) @ self._basis for x in xs]
-        return _rows_weighted_like(np.stack(rows), xs)
+        rows = np.stack([self._coords(x.coeffs) @ self._basis for x in xs])
+        return _trusted_rows(_finite(rows), (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
         _check_dim(self, x)
@@ -525,21 +523,40 @@ class _BochnerSet:
         """(k, d) atom values, or their flat vector, in the form of x."""
         atoms = np.reshape(atoms, (self.space.n_atoms, -1))
         if isinstance(x, bo.BochnerFunction):
-            return bo._function(self.space, atoms)
+            return bo._function(self.space, _finite(atoms))
         return _trusted(atoms.reshape(-1), bo.flat_weights(self.space, atoms.shape[1]))
 
     def _project(self, x):
         return self._like(x, self._project_atoms(self._atoms(x)))
 
     def _project_rows(self, xs) -> list:
-        """The batch as one (n, k, d) array per per-atom dimension d."""
+        """The batch as one (n, k, d) array per per-atom dimension d.
+
+        Functions come back on their (k, d) blocks of the result; flat points
+        on its rows, and the flat points of one group share one weights array.
+        """
         atoms = _check_each(xs, self._atoms)
         out = [None] * len(xs)
         for idx in _indices_by_key(a.shape[1] for a in atoms).values():
-            values = self._project_atoms(np.stack([atoms[i] for i in idx]))
+            values = _finite(self._project_atoms(np.stack([atoms[i] for i in idx])))
+            flat = []
             for i, v in zip(idx, values):
-                out[i] = self._like(xs[i], v)
+                if isinstance(xs[i], bo.BochnerFunction):
+                    out[i] = bo._function(self.space, v)
+                else:
+                    flat.append((i, v.reshape(-1)))
+            if flat:
+                weights = repeat(bo.flat_weights(self.space, values.shape[2]))
+                for (i, _), p in zip(flat, _trusted_rows((row for _, row in flat), weights)):
+                    out[i] = p
         return out
+
+    def _same_atoms(self, y, x) -> tuple:
+        """The (k, d) atom values of y and x, which must share the per-atom dimension."""
+        ay, ax = self._atoms(y), self._atoms(x)
+        if ay.shape != ax.shape:
+            raise DimensionMismatch("per-atom dimensions differ")
+        return ay, ax
 
     def _sample_dim(self, anchors) -> int:
         if not anchors:
@@ -574,10 +591,7 @@ class BochnerPointwiseCone(_BochnerSet):
         return cone._interior(fx, tol)
 
     def _inverse_member(self, y, x, tol: float) -> bool:
-        ay, ax = self._atoms(y), self._atoms(x)
-        if ay.shape != ax.shape:
-            raise DimensionMismatch("per-atom dimensions differ")
-        return _cone_inverse_member(ay, ax, tol)
+        return _cone_inverse_member(*self._same_atoms(y, x), tol)
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         d = self._sample_dim(anchors)
@@ -618,7 +632,8 @@ class BochnerConstantSubspace(_BochnerSet):
         return np.add.accumulate(terms, axis=-2)[..., -1, :]
 
     def _project_atoms(self, values: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self._mean(values)[..., None, :], values.shape)
+        # a real (..., k, d) array, not a stride-0 broadcast, so flatten views a result
+        return np.repeat(self._mean(values)[..., None, :], self.space.n_atoms, axis=-2)
 
     def _spread(self, values: np.ndarray) -> float:
         """||f - E(f)||, the distance of f to the constants."""
@@ -632,9 +647,7 @@ class BochnerConstantSubspace(_BochnerSet):
         return self.space.n_atoms == 1
 
     def _inverse_member(self, y, x, tol: float) -> bool:
-        ay, ax = self._atoms(y), self._atoms(x)
-        if ay.shape != ax.shape:
-            raise DimensionMismatch("per-atom dimensions differ")
+        ay, ax = self._same_atoms(y, x)
         means = self._mean(np.stack([ax, ay]))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
 
@@ -668,6 +681,37 @@ def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
     if s.generators:
         _check_compatible(x, s.generators[0])
     return x.replace_coeffs(s._coords(x.coeffs) @ s._basis)
+
+
+def project(s, x):
+    """Nearest point of the set. Bochner results mirror the input form."""
+    return s._project(x)
+
+
+def _gap(x, u) -> float:
+    """||x - u||, for x and its projection u in the same form."""
+    if isinstance(x, bo.BochnerFunction):
+        return bo.bochner_distance(x, u)
+    return norm(x - u)
+
+
+def distance(s, x) -> float:
+    """d(x, C) = ||x - P_C(x)||."""
+    return _gap(x, project(s, x))
+
+
+def project_sequence(s, xs) -> list:
+    """Projection of every element; failures carry the offending index.
+
+    Each element is first checked as :func:`project` checks it, with the
+    same exception type and message prefixed by ``element i:``. The batch is
+    then stacked and projected as one array (one product per row on a span,
+    as :func:`project` takes it), and the result equals element-wise
+    :func:`project` bit for bit on every set. Points in the result are
+    read-only rows of that array; Bochner results mirror each element's form.
+    """
+    xs = list(xs)
+    return s._project_rows(xs) if xs else []
 
 
 def contains(s, x, tol: float = DEFAULT_TOL) -> bool:

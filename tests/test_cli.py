@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import hilproj.cli
-import hilproj.projection
+import hilproj.sets
 from hilproj.cli import main
 
 UNIT_BALL = '{"type":"ball","center":{"coeffs":[0,0]},"radius":1}'
@@ -49,9 +49,9 @@ def test_project_batch_projects_each_point_once(capsys, monkeypatch):
         calls.append(x)
         return real(s, x)
 
-    # distance() would reach projection.project; count calls from either module
+    # distance() would reach sets.project; count calls from either module
     monkeypatch.setattr(hilproj.cli, "project", counting)
-    monkeypatch.setattr(hilproj.projection, "project", counting)
+    monkeypatch.setattr(hilproj.sets, "project", counting)
     points = json.dumps([{"coeffs": [0.5 * i, 1.0 - 0.25 * i]} for i in range(10)])
     code, out, _ = run_cli(capsys, "project", "--set", UNIT_BALL, "--batch", "--point", points)
     assert code == 0
