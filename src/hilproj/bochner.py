@@ -71,6 +71,7 @@ class DiscreteProbabilitySpace:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_flat_weights", {})  # per-atom dimension -> flat_weights
 
     @property
     def n_atoms(self) -> int:
@@ -237,9 +238,12 @@ def flatten(f: BochnerFunction) -> HilbertPoint:
 
 
 def flat_weights(space: DiscreteProbabilitySpace, point_dim: int) -> np.ndarray:
-    """Each atom weight repeated point_dim times, read-only."""
-    w = np.repeat(space.weights, point_dim)
-    w.setflags(write=False)
+    """Each atom weight repeated point_dim times, read-only: one array per space and point_dim."""
+    w = space._flat_weights.get(point_dim)
+    if w is None:
+        w = np.repeat(space.weights, point_dim)
+        w.setflags(write=False)
+        space._flat_weights[point_dim] = w
     return w
 
 
@@ -255,7 +259,7 @@ def _flat_point_dim(space: DiscreteProbabilitySpace, p: HilbertPoint) -> int:
     if p.weights is None:
         if not np.array_equal(expected, np.ones(p.dim)):
             raise WeightMismatch("flattened point must carry the repeated atom weights")
-    elif not np.array_equal(p.weights, expected):
+    elif p.weights is not expected and not np.array_equal(p.weights, expected):
         raise WeightMismatch("flattened weights do not match the space's atom weights")
     return d
 

@@ -14,9 +14,11 @@ rho(t) = sqrt(1 + t^2) - 1, and the one-sided directional derivative of the
 norm on the unit sphere, which reduces to the plain inner product.
 
 Points are validated at the boundary: the constructor, ``replace_coeffs`` and
-``_points_from_rows`` copy and check. Arithmetic on checked points builds its
-fresh result with ``_trusted``: the operand's weights object shared, only the
-finiteness check kept, so an overflow still raises. Every batch of new points
+``_points_from_rows`` copy and check; a read-only weights array that owns its
+data is checked and shared, so the points of one weighting compare it by
+identity. Arithmetic on checked points builds its fresh result with
+``_trusted``: the operand's weights object shared, only the finiteness check
+kept, so an overflow still raises. Every batch of new points
 (``_points_from_rows``, each set's batch projection, a function's per-atom
 values) comes from one row loop, ``_trusted_rows``, which wraps the rows of a
 checked array with one weighting per row. The oracles call ``_dot`` and
@@ -95,13 +97,18 @@ def _check_tol(tol: float):
 
 
 def _checked_arrays(coeffs, weights, axes: int) -> tuple:
-    """Checked read-only float64 copies of coeffs (one point, or rows if axes=2) and weights."""
+    """Checked read-only float64 coeffs (one point, or rows if axes=2) and weights.
+
+    coeffs are copied; weights are too, unless read-only float64 owning their data.
+    """
     coeffs = np.array(coeffs, dtype=np.float64)
     if coeffs.ndim != axes:
         raise ValueError("coeffs must be one-dimensional")
     coeffs = _finite(coeffs)
     if weights is not None:
-        weights = np.array(weights, dtype=np.float64)
+        if not (type(weights) is np.ndarray and weights.dtype == np.float64
+                and weights.base is None and not weights.flags.writeable):
+            weights = np.array(weights, dtype=np.float64)
         if weights.shape != coeffs.shape[-1:]:
             raise ValueError("weights must match coeffs in length")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):

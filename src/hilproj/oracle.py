@@ -18,12 +18,15 @@ Three tools, all deliberately ignorant of the analytic derivative formulas:
   idempotent, positively homogeneous, and the sphere direction partition)
   on seeded random inputs and reports failure counts and worst residuals.
 
-The battery takes each residual on coefficient arrays through the kernels of
+The battery takes every residual on coefficient arrays through the kernels of
 ``inner`` and ``norm``, so its reports keep the bits of the point formulas.
-It draws its inputs from each set's ``_sample_pair(rng, covered)`` (see
-:mod:`hilproj.sets`), over the case regions of Thm 4.1 and Thm 5.1. The
-partition probe steps by t r and reports drift / r, so every radius is probed
-alike. Identical seeds give bit-identical reports.
+It keeps one residual list per property and reports its trials, its
+failures (residuals floored at 0 that exceed the property's bound in
+``_THRESHOLDS``) and its worst floored residual. It draws its inputs from
+each set's ``_sample_pair(rng, covered)`` (see :mod:`hilproj.sets`), over the
+case regions of Thm 4.1 and Thm 5.1. The partition probe steps by t r and
+reports drift / r, so every radius is probed alike. Identical seeds give
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -99,28 +102,16 @@ def variational_certificate(s, x, u, samples: int = 1000, rng=None) -> dict:
     return {"min_inner": min_inner, "pass": bool(min_inner >= -s._vi_slack)}
 
 
-class _PropertyStat:
-    def __init__(self, name: str, threshold: float):
-        self.name = name
-        self.threshold = threshold
-        self.trials = 0
-        self.failures = 0
-        self.worst = 0.0
-
-    def record(self, residual: float):
-        self.trials += 1
-        residual = max(0.0, float(residual))
-        if residual > self.threshold:
-            self.failures += 1
-        self.worst = max(self.worst, residual)
-
-    def report(self) -> dict:
-        return {
-            "property": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_residual": self.worst,
-        }
+_THRESHOLDS = {  # each property's failure bound, in report order
+    "variational": VI_SLACK,
+    "strengthened_variational": VI_SLACK,
+    "monotone": VI_SLACK,
+    "nonexpansive": 1e-12,
+    "nonexpansive_dichotomy": VI_SLACK,
+    "idempotent": 1e-12,
+    "homogeneous": VI_SLACK,
+    "direction_partition": VI_SLACK,  # balls only
+}
 
 
 def property_battery(s, trials: int, seed: int = 0) -> list:
@@ -131,36 +122,25 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
     if trials < 1:
         raise ValueError("trials must be a positive integer")
     rng = np.random.default_rng(seed)
-    stats = {
-        "variational": _PropertyStat("variational", VI_SLACK),
-        "strengthened_variational": _PropertyStat("strengthened_variational", VI_SLACK),
-        "monotone": _PropertyStat("monotone", VI_SLACK),
-        "nonexpansive": _PropertyStat("nonexpansive", 1e-12),
-        "nonexpansive_dichotomy": _PropertyStat("nonexpansive_dichotomy", VI_SLACK),
-        "idempotent": _PropertyStat("idempotent", 1e-12),
-        "homogeneous": _PropertyStat("homogeneous", VI_SLACK),
-    }
     is_ball = isinstance(s, ClosedBall)
-    if is_ball:
-        stats["direction_partition"] = _PropertyStat("direction_partition", VI_SLACK)
-    n_z = 8
+    res = {name: [] for name in _THRESHOLDS if is_ball or name != "direction_partition"}
     for _ in range(trials):
         x, _ = s._sample_pair(rng, False)
         y, _ = s._sample_pair(rng, False)
         px, py = project(s, x), project(s, y)
-        zs = sample_points(s, n_z, rng, include=(px,))
+        zs = sample_points(s, 8, rng, include=(px,))
         for p in (y, px, py, zs[0]):  # the members share one weighting
             _check_compatible(x, p)
         w, xa, pa = x.weights, x.coeffs, px.coeffs
         r, dp, dx = xa - pa, pa - py.coeffs, xa - y.coeffs
         sq = _dot(w, r, r)
-        stats["variational"].record(-min(_dot(w, r, pa - z.coeffs) for z in zs))
-        stats["strengthened_variational"].record(-min(_dot(w, r, xa - z.coeffs) - sq for z in zs))
-        stats["monotone"].record(_dot(w, dp, dp) - _dot(w, dp, dx))
+        res["variational"].append(-min(_dot(w, r, pa - z.coeffs) for z in zs))
+        res["strengthened_variational"].append(-min(_dot(w, r, xa - z.coeffs) - sq for z in zs))
+        res["monotone"].append(_dot(w, dp, dp) - _dot(w, dp, dx))
         gap = _norm(w, dx) - _norm(w, dp)
-        stats["nonexpansive"].record(-gap)
-        stats["nonexpansive_dichotomy"].record(0.0 if gap > 0.0 else _norm(w, dp - dx))
-        stats["idempotent"].record(_norm(w, project(s, px).coeffs - pa))
+        res["nonexpansive"].append(-gap)
+        res["nonexpansive_dichotomy"].append(0.0 if gap > 0.0 else _norm(w, dp - dx))
+        res["idempotent"].append(_norm(w, project(s, px).coeffs - pa))
         xc, vc = s._sample_pair(rng, True)
         base = derivative(s, xc, vc)
         residual = float("inf")  # an uncovered call on a covered pair fails
@@ -168,20 +148,28 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
             lam = (0.5, 2.0, 10.0)[int(rng.integers(3))]
             scaled = derivative(s, xc, lam * vc)
             if scaled.covered:
-                num = norm(scaled.value - lam * base.value)
-                residual = num / max(1.0, lam * norm(base.value))
-        stats["homogeneous"].record(residual)
+                _check_compatible(scaled.value, base.value)
+                w, b = scaled.value.weights, base.value.coeffs
+                residual = _norm(w, scaled.value.coeffs - b * lam) / max(1.0, lam * _norm(w, b))
+        res["homogeneous"].append(residual)
         if is_ball:
             xs = ball_region_point(s, "sphere", rng)
             klass = DirectionClass.UP if rng.integers(2) else DirectionClass.DOWN
             v = sphere_direction(s, xs, klass, rng, margin=1e-3)
             label = classify_direction(s, xs, v)
-            r = s.radius
+            r, c = s.radius, s.center
+            for p in (v, c):
+                _check_compatible(xs, p)
             sign = -1.0 if label is DirectionClass.UP else 1.0
             worst = 0.0
             for t in (1e-4, 1e-6):
                 # step and drift relative to the radius, so every ball is probed alike
-                drift = (norm(xs + (t * r) * v - s.center) - r) / r
+                drift = (_norm(xs.weights, xs.coeffs + v.coeffs * (t * r) - c.coeffs) - r) / r
                 worst = max(worst, sign * drift)
-            stats["direction_partition"].record(worst)
-    return [stat.report() for stat in stats.values()]
+            res["direction_partition"].append(worst)
+    floored = {name: [max(0.0, float(r)) for r in rs] for name, rs in res.items()}
+    return [
+        {"property": name, "trials": len(rs),
+         "failures": sum(r > _THRESHOLDS[name] for r in rs), "worst_residual": max(rs)}
+        for name, rs in floored.items()
+    ]

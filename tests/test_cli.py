@@ -381,3 +381,45 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"projection":{"coeffs":[1,0]},"distance":1}'
+
+
+def test_bochner_unweighted_flat_payload_takes_the_atom_weights(capsys):
+    cone = '{"type":"bochner_cone","space":%s}' % SPACE
+    weighted = '{"coeffs":[1,-2,-3,4],"weights":[0.25,0.25,0.75,0.75]}'
+    code, want, _ = run_cli(capsys, "project", "--set", cone, "--point", weighted)
+    assert code == 0
+    code, out, err = run_cli(capsys, "project", "--set", cone, "--point", '{"coeffs":[1,-2,-3,4]}')
+    assert code == 0 and err == ""
+    assert out == want
+    assert json.loads(out)["projection"]["weights"] == [0.25, 0.25, 0.75, 0.75]
+    code, out, err = run_cli(capsys, "project", "--set", cone, "--point", '{"coeffs":[1,-2,-3]}')
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_derive_oracle_on_function_payloads_reports_agreement(capsys):
+    cone = '{"type":"bochner_cone","space":%s}' % SPACE
+    f = '{"space":%s,"values":{"a":{"coeffs":[1,2]},"b":{"coeffs":[3,4]}}}' % SPACE
+    g = '{"space":%s,"values":{"a":{"coeffs":[0.5,1]},"b":{"coeffs":[2,-1]}}}' % SPACE
+    code, out, _ = run_cli(capsys, "derive", "--set", cone, "--point", f, "--direction", g,
+                           "--oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["covered"] is True
+    assert payload["case"] == "Thm5.1(iii)"
+    assert payload["value"]["values"]["a"]["coeffs"] == [0.5, 1]
+    assert payload["value"]["values"]["b"]["coeffs"] == [2, -1]
+    assert payload["oracle"]["converged"] is True
+    assert payload["agreement"] <= 1e-7
+
+
+def test_project_batch_needs_an_array(capsys):
+    code, out, err = run_cli(
+        capsys, "project", "--set", UNIT_BALL, "--batch", "--point", '{"coeffs":[2,0]}'
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "--batch" in lines[0]

@@ -185,6 +185,22 @@ def test_oracles_validate_points_at_the_boundary_only(monkeypatch):
     assert len(calls) <= 100  # 424 with a checked point per arithmetic step
 
 
+@pytest.mark.parametrize("name", list(_sets()))
+def test_battery_compares_no_weights_element_wise(name, monkeypatch):
+    # every point of a trial carries its set's own weights object
+    s = _sets()[name]
+    calls = []
+    real = np.array_equal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    property_battery(s, 6, seed=0)
+    assert calls == []
+
+
 def test_sphere_direction_checks_no_draw(monkeypatch):
     rng = np.random.default_rng(4)
     ball = ClosedBall(HilbertPoint(rng.uniform(-1.0, 1.0, 8), rng.uniform(0.5, 2.0, 8)), 1.2)
