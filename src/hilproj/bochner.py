@@ -14,11 +14,10 @@ which is the atomic form of the Bochner integrals. The function flattens
 atom weight d times: the same array read as a vector, not a copy, and
 :func:`unflatten` reads it back. That flattening is an isometry, so
 closed-form facts about balls and cones apply verbatim to the Bochner
-constructions. The set classes of :mod:`hilproj.sets` for the pointwise cone
-and the constants are adapters built on it: they read an argument in either
-form as its (k, d) array, apply the flat rule and return the result in the
-argument's form. The cone helpers and :func:`expectation` call those
-classes, so the cone rules and E(f) have one definition.
+constructions. This module is the function space only: it knows no set. The
+pointwise cone and the constants of :mod:`hilproj.sets` are built on it, and
+their E(f) is the kernel behind :func:`expectation`, so E(f) has one
+definition.
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ from .errors import (
     DimensionMismatch,
     EmptySubset,
     NoHalfMeasureSubset,
-    NotInCone,
     SpaceMismatch,
     UnknownAtom,
     WeightMismatch,
 )
 
 _WEIGHT_SUM_TOL = 1e-12
-_COEFF_TOL = 1e-9
 _SUBSET_SEARCH_LIMIT = 22
 
 
@@ -84,7 +81,9 @@ class DiscreteProbabilitySpace:
             raise UnknownAtom(f"atom {atom_id!r} not in space") from None
 
     def same_space(self, other: "DiscreteProbabilitySpace") -> bool:
-        return self.atom_ids == other.atom_ids and np.array_equal(self.weights, other.weights)
+        return other is self or (
+            self.atom_ids == other.atom_ids and np.array_equal(self.weights, other.weights)
+        )
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -186,50 +185,15 @@ def bochner_norm(f: BochnerFunction) -> float:
     return float(np.sqrt(max(bochner_inner(f, f), 0.0)))
 
 
+def _mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """E over the atom axis, (..., k, d) -> (..., d), summed atom by atom."""
+    terms = weights[:, None] * values
+    return np.add.accumulate(terms, axis=-2)[..., -1, :]
+
+
 def expectation(f: BochnerFunction) -> HilbertPoint:
     """E(f) = sum_s mu(s) f(s), an unweighted point of dimension d."""
-    from .sets import BochnerConstantSubspace
-
-    return _trusted(BochnerConstantSubspace(f.space)._mean(f.array), None)
-
-
-def project_pointwise_cone(f: BochnerFunction) -> BochnerFunction:
-    """Projection onto the pointwise positive cone: clip per atom, per coordinate."""
-    from .sets import BochnerPointwiseCone
-
-    return BochnerPointwiseCone(f.space)._project(f)
-
-
-def project_constants(f: BochnerFunction) -> BochnerFunction:
-    """Projection onto the subspace of constant functions: 1_S (x) E(f)."""
-    from .sets import BochnerConstantSubspace
-
-    return BochnerConstantSubspace(f.space)._project(f)
-
-
-def in_pointwise_cone(f: BochnerFunction, tol: float = _COEFF_TOL) -> bool:
-    from .sets import BochnerPointwiseCone
-
-    return BochnerPointwiseCone(f.space)._contains(f, tol)
-
-
-def cone_inverse_check(g: BochnerFunction, f: BochnerFunction, tol: float = _COEFF_TOL) -> bool:
-    """Whether f projects onto g under the pointwise cone, with f distinct from g.
-
-    Per atom and per coordinate: where g is strictly positive f must agree
-    with g, and where g vanishes f must be nonpositive. The nonpositive
-    reading (rather than strictly negative) keeps f's free coefficients at
-    exactly zero admissible, consistent with the coordinate-wise clipping
-    rule; f = g itself is excluded by contract.
-    """
-    from .sets import BochnerPointwiseCone
-
-    check_same(g, f)
-    cone = BochnerPointwiseCone(g.space)
-    if not cone._contains(g, tol):
-        raise NotInCone("g must lie in the pointwise positive cone")
-    differs = np.any(np.abs(cone._atoms(f) - cone._atoms(g)) > tol)
-    return bool(differs) and cone._inverse_member(g, f, tol)
+    return _trusted(_mean(f.space.weights, f.array), None)
 
 
 def flatten(f: BochnerFunction) -> HilbertPoint:

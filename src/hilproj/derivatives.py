@@ -201,7 +201,8 @@ def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
     result = rule(flat, fx, fv, tol)
     if not (result.covered and isinstance(x, bo.BochnerFunction)):
         return result
-    return DerivativeResult(True, result.case_tag, s._like(x, result.value.coeffs))
+    value = result.value.coeffs.reshape(s.space.n_atoms, -1)
+    return DerivativeResult(True, result.case_tag, s._like(x, value))
 
 
 def _generic_facts(s, x, v, tol: float) -> DerivativeResult:

@@ -58,6 +58,7 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     HilprojError,
+    NotInCone,
     NotInSet,
     NotOnSphere,
     SpaceMismatch,
@@ -495,7 +496,8 @@ class _BochnerSet:
     An argument is a BochnerFunction over ``space`` or its flattened point,
     whose weights repeat each atom weight d times. Rules run on its (k, d)
     atom values (a function's ``array``, or the flat coefficients reshaped)
-    or on flat points viewing them; results come back in the argument's form.
+    or on flat points viewing them. Every result is checked where it is
+    computed, then :meth:`_like` wraps it in the argument's form.
     """
 
     space: bo.DiscreteProbabilitySpace
@@ -520,35 +522,29 @@ class _BochnerSet:
         return (self._flat_set(d), *(_trusted(a.reshape(-1), w) for a in atoms))
 
     def _like(self, x, atoms: np.ndarray):
-        """(k, d) atom values, or their flat vector, in the form of x."""
-        atoms = np.reshape(atoms, (self.space.n_atoms, -1))
+        """Checked read-only (k, d) atom values in the form of x: no copy, no check.
+
+        A flat result views them and carries the space's one flat weights array.
+        """
         if isinstance(x, bo.BochnerFunction):
-            return bo._function(self.space, _finite(atoms))
-        return _trusted(atoms.reshape(-1), bo.flat_weights(self.space, atoms.shape[1]))
+            return bo._function(self.space, atoms)
+        (p,) = _trusted_rows([atoms.reshape(-1)], [bo.flat_weights(self.space, atoms.shape[1])])
+        return p
 
     def _project(self, x):
-        return self._like(x, self._project_atoms(self._atoms(x)))
+        return self._like(x, _finite(self._project_atoms(self._atoms(x))))
 
     def _project_rows(self, xs) -> list:
         """The batch as one (n, k, d) array per per-atom dimension d.
 
-        Functions come back on their (k, d) blocks of the result; flat points
-        on its rows, and the flat points of one group share one weights array.
+        Each result is a (k, d) block of its group's array, in its element's form.
         """
         atoms = _check_each(xs, self._atoms)
         out = [None] * len(xs)
         for idx in _indices_by_key(a.shape[1] for a in atoms).values():
             values = _finite(self._project_atoms(np.stack([atoms[i] for i in idx])))
-            flat = []
             for i, v in zip(idx, values):
-                if isinstance(xs[i], bo.BochnerFunction):
-                    out[i] = bo._function(self.space, v)
-                else:
-                    flat.append((i, v.reshape(-1)))
-            if flat:
-                weights = repeat(bo.flat_weights(self.space, values.shape[2]))
-                for (i, _), p in zip(flat, _trusted_rows((row for _, row in flat), weights)):
-                    out[i] = p
+                out[i] = self._like(xs[i], v)
         return out
 
     def _same_atoms(self, y, x) -> tuple:
@@ -616,28 +612,21 @@ class BochnerConstantSubspace(_BochnerSet):
     """Functions taking one common value on every atom.
 
     Every rule goes through one kernel, the mu-weighted expectation of an
-    (..., k, d) array of atom values. Its own methods take flat points, so
-    it is its own flat set.
+    (..., k, d) array of atom values, which :func:`hilproj.bochner.expectation`
+    also takes. Its own methods take flat points, so it is its own flat set.
     """
 
     def _flat_set(self, d: int) -> "BochnerConstantSubspace":
         return self
 
-    def _mean(self, values: np.ndarray) -> np.ndarray:
-        """E over the atom axis, (..., k, d) -> (..., d), summed atom by atom.
-
-        The running sum gives the bits of :func:`hilproj.bochner.expectation`.
-        """
-        terms = self.space.weights[:, None] * values
-        return np.add.accumulate(terms, axis=-2)[..., -1, :]
-
     def _project_atoms(self, values: np.ndarray) -> np.ndarray:
         # a real (..., k, d) array, not a stride-0 broadcast, so flatten views a result
-        return np.repeat(self._mean(values)[..., None, :], self.space.n_atoms, axis=-2)
+        mean = bo._mean(self.space.weights, values)
+        return np.repeat(mean[..., None, :], self.space.n_atoms, axis=-2)
 
     def _spread(self, values: np.ndarray) -> float:
         """||f - E(f)||, the distance of f to the constants."""
-        gap = values - self._mean(values)
+        gap = values - bo._mean(self.space.weights, values)
         return float(np.sqrt(self.space.weights @ np.sum(gap * gap, axis=1)))
 
     def _contains(self, x, tol: float) -> bool:
@@ -648,7 +637,7 @@ class BochnerConstantSubspace(_BochnerSet):
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         ay, ax = self._same_atoms(y, x)
-        means = self._mean(np.stack([ax, ay]))
+        means = bo._mean(self.space.weights, np.stack([ax, ay]))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
@@ -664,6 +653,37 @@ class BochnerConstantSubspace(_BochnerSet):
         d = self._sample_dim(anchors)
         z = np.tile(rng.uniform(-4.0, 4.0, (n, d)), (1, self.space.n_atoms))
         return z, bo.flat_weights(self.space, d)
+
+
+def project_pointwise_cone(f: bo.BochnerFunction) -> bo.BochnerFunction:
+    """Projection onto the pointwise positive cone: clip per atom, per coordinate."""
+    return BochnerPointwiseCone(f.space)._project(f)
+
+
+def project_constants(f: bo.BochnerFunction) -> bo.BochnerFunction:
+    """Projection onto the subspace of constant functions: 1_S (x) E(f)."""
+    return BochnerConstantSubspace(f.space)._project(f)
+
+
+def in_pointwise_cone(f: bo.BochnerFunction, tol: float = DEFAULT_TOL) -> bool:
+    return BochnerPointwiseCone(f.space)._contains(f, tol)
+
+
+def cone_inverse_check(g: bo.BochnerFunction, f: bo.BochnerFunction,
+                       tol: float = DEFAULT_TOL) -> bool:
+    """Whether f projects onto g under the pointwise cone, with f distinct from g.
+
+    Per atom and per coordinate: where g is strictly positive f must agree
+    with g, and where g vanishes f must be nonpositive. The nonpositive
+    reading (rather than strictly negative) keeps f's free coefficients at
+    exactly zero admissible, consistent with the coordinate-wise clipping
+    rule; f = g itself is excluded by contract.
+    """
+    bo.check_same(g, f)
+    ag, af = BochnerPointwiseCone(g.space)._same_atoms(g, f)
+    if not _in_cone(ag, tol):
+        raise NotInCone("g must lie in the pointwise positive cone")
+    return bool(np.any(np.abs(af - ag) > tol)) and _cone_inverse_member(ag, af, tol)
 
 
 def is_bochner_set(s) -> bool:
@@ -781,21 +801,13 @@ def orthogonal_cone(subspace: SubspaceSpan, ambient_dim: int) -> SubspaceSpan:
     if k == 0:
         eye = np.eye(n)
         return SubspaceSpan(tuple(HilbertPoint(eye[i]) for i in range(n)))
-    weights = subspace.generators[0].weights
-    w = np.ones(n) if weights is None else weights
-    rows = np.array([u.coeffs * w for u in subspace.generators])
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if len(sv) else 1.0)))
-    basis = vt[rank:]
-    out = []
-    for b in basis:
-        v = b.copy()
-        for q in out:
-            v = v - np.dot(v * w, q) * q
-        nv = np.sqrt(np.dot(v * w, v))
-        if nv > 1e-12:
-            out.append(v / nv)
-    gens = tuple(HilbertPoint(v, weights) for v in out)
+    # the trailing right singular vectors of G sqrt(W), each divided by
+    # sqrt(W), are orthonormal and orthogonal to the span in the weighted product
+    weights = subspace._weights
+    root = np.ones(n) if weights is None else np.sqrt(weights)
+    _, sv, vt = np.linalg.svd(subspace._basis * root)
+    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
+    gens = tuple(HilbertPoint(v / root, weights) for v in vt[rank:])
     if not gens:
         return SubspaceSpan((), ambient_dim=n)
     return SubspaceSpan(gens)

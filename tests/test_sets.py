@@ -384,6 +384,22 @@ def test_orthogonal_cone_weighted():
     assert abs(inner(g, span.generators[0])) <= 1e-12
 
 
+def test_orthogonal_cone_weighted_multi_generator_span():
+    # generators orthonormal in the weighted product: Q from QR of sqrt(W) A, divided by sqrt(W)
+    rng = np.random.default_rng(17)
+    for n, k in ((4, 1), (6, 2), (9, 4), (30, 7)):
+        w = rng.uniform(0.25, 4.0, n)
+        q, _ = np.linalg.qr(np.sqrt(w)[:, None] * rng.standard_normal((n, k)))
+        span = SubspaceSpan(tuple(HilbertPoint(q[:, i] / np.sqrt(w), w) for i in range(k)))
+        comp = orthogonal_cone(span, n)
+        assert comp.n_generators == n - k
+        g = np.stack([v.coeffs for v in comp.generators])
+        assert np.max(np.abs((g * w) @ g.T - np.eye(n - k))) <= 1e-12
+        u = np.stack([v.coeffs for v in span.generators])
+        assert np.max(np.abs((g * w) @ u.T)) <= 1e-12
+        assert all(np.array_equal(v.weights, w) for v in comp.generators)
+
+
 def test_orthogonal_cone_is_theta_inverse_image():
     # P_D^-1(theta) equals the orthogonal complement of D
     rng = np.random.default_rng(16)
