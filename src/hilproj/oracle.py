@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, _check_compatible, _dot, _norm, _points_from_rows, norm
+from .core import HilbertPoint, _check_compatible, _check_tol, _dot, _norm, _points_from_rows, norm
 from .derivatives import classify_direction, derivative
 from .errors import NotInSet, ZeroDirection
 from .sets import (  # random_point and cone_region_point: re-exported for callers
@@ -69,6 +69,7 @@ class OracleEstimate:
 
 def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     """Difference-quotient estimate of the directional derivative at x along v."""
+    _check_tol(tol)
     flat, xp, vp = _flat_form(s, x, v)
     if norm(vp) == 0.0:
         raise ZeroDirection("direction must be nonzero")

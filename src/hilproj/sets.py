@@ -12,13 +12,17 @@ variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's
 test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1 with margins
 relative to the radius. The public functions (:func:`project`,
 :func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate
-to them.
+to them. A single projection forms its result in one new array: the ball
+scales and shifts its one x - c array in place (a weighted norm adds the
+temporary w (x - c)), the cone clips into a fresh array, and the span takes
+one product per point.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
   the outward ray y + t(y - c), t >= 0;
-* cone: x projects onto y iff x agrees with y on the strictly positive
-  coordinates and is nonpositive on the zero coordinates;
+* cone: the coordinatewise clip at zero, which maps -0.0 to +0.0; x
+  projects onto y iff x agrees with y on the strictly positive coordinates
+  and is nonpositive on the zero coordinates;
 * subspace span: the inverse image of y is y + D-perp;
 * Bochner cone: the cone rules applied per atom and per coordinate;
 * Bochner constants: x projects onto the constant y iff E(x) equals y's
@@ -90,8 +94,14 @@ def _check_dim(s, x: HilbertPoint, what: str = "set"):
 
 
 def clip_nonnegative(coeffs: np.ndarray) -> np.ndarray:
-    """Coordinates at or below zero map to zero."""
-    return np.where(coeffs > 0.0, coeffs, 0.0)
+    """Coordinates at or below zero map to +0.0, in one new array.
+
+    On finite coeffs, bit for bit np.where(coeffs > 0, coeffs, 0.0) without
+    its mask array: np.maximum keeps a -0.0, and adding 0.0 makes it +0.0.
+    """
+    out = np.maximum(coeffs, 0.0)
+    out += 0.0
+    return out
 
 
 def _in_cone(coeffs: np.ndarray, tol: float) -> bool:
@@ -231,10 +241,19 @@ class ClosedBall:
         return (dist > self.radius + slack) * 1 - (dist < self.radius - slack)
 
     def _project(self, x):
-        d = norm(x - self.center)
+        # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
+        # in place; s*diff + c rounds as c + s*diff does
+        c = self.center
+        _check_compatible(x, c)
+        diff = x.coeffs - c.coeffs
+        if not np.isfinite(diff).all():
+            raise ValueError("coeffs must be finite")
+        d = _norm(x.weights, diff)
         if self._place(d, _SPHERE_BAND) <= 0:
             return x
-        return self.center + (self.radius / d) * (x - self.center)
+        diff *= self.radius / d
+        diff += c.coeffs
+        return _trusted(diff, c.weights)
 
     def _project_rows(self, xs) -> list:
         c = self.center
@@ -318,7 +337,7 @@ class PositiveCone:
 
     def _project(self, x):
         _check_dim(self, x, "cone")
-        return x.replace_coeffs(clip_nonnegative(x.coeffs))
+        return _trusted(clip_nonnegative(x.coeffs), x.weights)
 
     def _project_rows(self, xs) -> list:
         _check_each(xs, lambda x: _check_dim(self, x, "cone"))
@@ -666,6 +685,7 @@ def project_constants(f: bo.BochnerFunction) -> bo.BochnerFunction:
 
 
 def in_pointwise_cone(f: bo.BochnerFunction, tol: float = DEFAULT_TOL) -> bool:
+    _check_tol(tol)
     return BochnerPointwiseCone(f.space)._contains(f, tol)
 
 
@@ -679,6 +699,7 @@ def cone_inverse_check(g: bo.BochnerFunction, f: bo.BochnerFunction,
     exactly zero admissible, consistent with the coordinate-wise clipping
     rule; f = g itself is excluded by contract.
     """
+    _check_tol(tol)
     bo.check_same(g, f)
     ag, af = BochnerPointwiseCone(g.space)._same_atoms(g, f)
     if not _in_cone(ag, tol):
@@ -700,7 +721,7 @@ def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
     """Sum of <x, u_i> u_i over the generators."""
     if s.generators:
         _check_compatible(x, s.generators[0])
-    return x.replace_coeffs(s._coords(x.coeffs) @ s._basis)
+    return _trusted(s._coords(x.coeffs) @ s._basis, x.weights)
 
 
 def project(s, x):

@@ -22,15 +22,18 @@ from hilproj import (
     classify_direction,
     classify_point,
     cone_derivative,
+    cone_inverse_check,
     cone_inverse_translation_check,
     contains,
     derivative,
     dual_cone_contains,
+    fd_derivative,
     flat_weights,
     flatten,
     generic_facts_derivative,
     homogeneity_check,
     in_inverse_image,
+    in_pointwise_cone,
     inner,
     norm_directional_derivative,
     project,
@@ -161,6 +164,10 @@ _TOL_CALLS = {
     "bochner_ball_derivative": lambda tol: bochner_ball_derivative(_F, _F, tol),
     "norm_directional_derivative": lambda tol: norm_directional_derivative(
         pt(1.0, 0.0), pt(0.0, 1.0), tol),
+    "fd_derivative": lambda tol: fd_derivative(_BALL, pt(2.0, 0.0), pt(0.0, 1.0), tol),
+    "in_pointwise_cone": lambda tol: in_pointwise_cone(_F, tol),
+    "cone_inverse_check": lambda tol: cone_inverse_check(
+        _F, BochnerFunction(_SPACE, (pt(0.5, -1.0), pt(-2.0, 0.5))), tol),
 }
 
 
