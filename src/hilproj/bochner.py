@@ -169,10 +169,12 @@ def constant_function(space: DiscreteProbabilitySpace, x: HilbertPoint) -> Bochn
 
 
 def subset_measure(space: DiscreteProbabilitySpace, atom_subset) -> float:
+    """mu(A) of the set of atoms A: a repeated atom counts once, summed in first-appearance order."""
     subset = list(atom_subset)
     if not subset:
         raise EmptySubset("subset of atoms must be nonempty")
-    return float(sum(space.weights[space.index_of(a)] for a in subset))
+    indices = dict.fromkeys(space.index_of(a) for a in subset)
+    return float(sum(space.weights[i] for i in indices))
 
 
 def bochner_inner(f: BochnerFunction, g: BochnerFunction) -> float:

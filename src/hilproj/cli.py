@@ -35,7 +35,7 @@ from .errors import (
     WeightMismatch,
 )
 from .oracle import fd_derivative, property_battery
-from .sets import ClosedBall, _gap, classify_point, in_inverse_image, is_bochner_set, project
+from .sets import ClosedBall, _flat_form, _gap, classify_point, in_inverse_image, is_bochner_set, project
 
 _DIM_ERRORS = (DimensionMismatch, WeightMismatch, SpaceMismatch)
 # every other library error, and bad values, are input errors
@@ -117,9 +117,7 @@ def _cmd_derive(args):
     if not result.covered:
         payload["empirical"] = True
     elif estimate.value is not None:
-        analytic = result.value
-        if isinstance(analytic, bo.BochnerFunction):
-            analytic = bo.flatten(analytic)
+        analytic = _flat_form(s, result.value)[1]
         payload["agreement"] = float(
             np.max(np.abs(analytic.coeffs - estimate.value.coeffs))
         )

@@ -7,6 +7,10 @@ identifiers consumed by the CLI and tests; uncovered inputs get the tag
 "NotCoveredByPaper" and no value, and callers may fall back to the
 finite-difference oracle for an empirical estimate.
 
+Every derivative, :func:`classify_direction` and ``fd_derivative`` check
+``tol`` first, then the set's form checks (space, per-atom dimension,
+weights), then that the direction is nonzero, all in ``sets._flat_direction``.
+
 Covered cases:
 
 * closed ball — interior: v; exterior: (r/d^3)(d^2 v - <x-c,v>(x-c)) with
@@ -39,19 +43,13 @@ import numpy as np
 
 from . import bochner as bo
 from .core import DEFAULT_TOL, HilbertPoint, _check_tol, inner, norm, zeros_like
-from .errors import (
-    DimensionMismatch,
-    NotCovered,
-    NotOnSphere,
-    SpaceMismatch,
-    ZeroDirection,
-)
+from .errors import DimensionMismatch, NotCovered, NotOnSphere, SpaceMismatch
 from .sets import (
     BochnerConstantSubspace,
     ClosedBall,
     DirectionClass,
     PositiveCone,
-    _flat_form,
+    _flat_direction,
     _in_cone,
 )
 
@@ -79,17 +77,10 @@ def _not_covered() -> DerivativeResult:
     return DerivativeResult(covered=False, case_tag=NOT_COVERED_TAG)
 
 
-def _require_direction(v):
-    n = bo.bochner_norm(v) if isinstance(v, bo.BochnerFunction) else norm(v)
-    if n == 0.0:
-        raise ZeroDirection("direction must be nonzero")
-
-
 def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                        tol: float = DEFAULT_TOL) -> DirectionClass:
     """Up or Down class of a nonzero direction at a sphere point."""
-    _check_tol(tol)
-    _require_direction(v)
+    ball, x, v = _flat_direction(ball, x, v, tol)
     d = x - ball.center
     if ball._place(norm(d), tol) != 0:
         raise NotOnSphere("direction classes are defined at sphere points only")
@@ -105,8 +96,7 @@ def _parallel(v: HilbertPoint, d: HilbertPoint, g: float) -> bool:
 def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                     tol: float = DEFAULT_TOL) -> DerivativeResult:
     """Directional derivative of the ball projection; covered everywhere."""
-    _check_tol(tol)
-    _require_direction(v)
+    ball, x, v = _flat_direction(ball, x, v, tol)
     d = x - ball.center
     r = ball.radius
     dist = norm(d)
@@ -129,9 +119,7 @@ def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
 def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
                     tol: float = DEFAULT_TOL) -> DerivativeResult:
     """Cone cases; boundary points with outward directions are uncovered."""
-    _check_tol(tol)
-    _require_direction(v)
-    return _cone_cases(cone, x, v, tol)
+    return _adapted(_cone_cases, cone, x, v, tol)
 
 
 def _cone_cases(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
@@ -153,7 +141,7 @@ def constants_subspace_derivative(space: bo.DiscreteProbabilitySpace,
     """Derivative of the expectation projection: the map is affine in f."""
     if not (f.space.same_space(space) and h.space.same_space(space)):
         raise SpaceMismatch("f and h must live over the given probability space")
-    return _adapted(_thm72, BochnerConstantSubspace(space), f, h, DEFAULT_TOL)
+    return _adapted(_clauses, BochnerConstantSubspace(space), f, h, DEFAULT_TOL)
 
 
 _BOCHNER_BALL_TAGS = {
@@ -174,7 +162,6 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
     """
     _check_tol(tol)
     bo.check_same(f, h)
-    _require_direction(h)
     fp, hp = bo.flatten(f), bo.flatten(h)
     ball = ClosedBall(HilbertPoint(np.zeros(fp.dim), fp.weights), 1.0)
     base = ball_derivative(ball, fp, hp, tol)
@@ -193,11 +180,12 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
 def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
     """rule(set, x, v, tol) in flat form, the value returned in the form of x.
 
-    A Bochner set checks and flattens x and v once and names the flat set
+    The arguments pass the door first (tol, the set's form checks, a nonzero
+    v). A Bochner set checks and flattens x and v once and names the flat set
     whose rules hold on them (the positive cone of the k*d coordinates for
     the pointwise cone); other sets are their own flat form.
     """
-    flat, fx, fv = _flat_form(s, x, v)
+    flat, fx, fv = _flat_direction(s, x, v, tol)
     result = rule(flat, fx, fv, tol)
     if not (result.covered and isinstance(x, bo.BochnerFunction)):
         return result
@@ -236,23 +224,19 @@ def generic_facts_derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeRes
     locally mapped to one value (Prop3.2, theta). Anything else is reported
     uncovered.
     """
-    _check_tol(tol)
-    _require_direction(v)
     return _adapted(_generic_facts, s, x, v, tol)
 
 
-def _cone_or_facts(s, x, v, tol: float) -> DerivativeResult:
+def _clauses(s, x, v, tol: float) -> DerivativeResult:
+    """The clause of a flat set other than a ball: Thm 7.2, or Thm 5.1 then the generic facts."""
+    if isinstance(s, BochnerConstantSubspace):
+        # the projection onto the constants is affine, so P'(x)(h) = P(h)
+        return DerivativeResult(True, "Thm7.2", s._project(v))
     if isinstance(s, PositiveCone):
         result = _cone_cases(s, x, v, tol)
         if result.covered:
             return result
     return _generic_facts(s, x, v, tol)
-
-
-def _thm72(s, x, v, tol: float) -> DerivativeResult:
-    # the projection onto the constants is affine, so P'(x)(h) = P(h)
-    _require_direction(v)
-    return DerivativeResult(True, "Thm7.2", s._project(v))
 
 
 def derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:
@@ -263,11 +247,7 @@ def derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:
     """
     if isinstance(s, ClosedBall):
         return ball_derivative(s, x, v, tol)
-    _check_tol(tol)
-    if isinstance(s, BochnerConstantSubspace):
-        return _adapted(_thm72, s, x, v, tol)
-    _require_direction(v)
-    return _adapted(_cone_or_facts, s, x, v, tol)
+    return _adapted(_clauses, s, x, v, tol)
 
 
 def homogeneity_check(derive, x, v, lam: float) -> bool:

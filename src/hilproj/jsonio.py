@@ -7,7 +7,8 @@ of plain Python floats, such as a point's coefficients, is rendered whole:
 one finiteness check over the list, then one join of the formatted
 numbers, with the same bytes the per-element path gives. Decoding checks
 the element types of a coefficient array in one pass as well. Decoding
-failures raise InputError with a one-line reason.
+failures raise InputError with a one-line reason, also for an integer
+literal too large for a double.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def decode_point(obj) -> HilbertPoint:
             np.array(coeffs, dtype=np.float64),
             None if weights is None else np.array(weights, dtype=np.float64),
         )
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise InputError(str(e)) from None
 
 
@@ -141,10 +142,10 @@ def decode_space(obj) -> bo.DiscreteProbabilitySpace:
         if not _is_number(atom["weight"]):
             raise InputError("atom weight must be a number")
         ids.append(str(atom["id"]))
-        weights.append(float(atom["weight"]))
+        weights.append(atom["weight"])
     try:
-        return bo.DiscreteProbabilitySpace(tuple(ids), np.array(weights))
-    except ValueError as e:
+        return bo.DiscreteProbabilitySpace(tuple(ids), np.array(weights, dtype=np.float64))
+    except (ValueError, OverflowError) as e:
         raise InputError(str(e)) from None
 
 
@@ -214,7 +215,7 @@ def decode_set(obj):
             return BochnerPointwiseCone(decode_space(obj.get("space")))
         if kind == "bochner_constants":
             return BochnerConstantSubspace(decode_space(obj.get("space")))
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise InputError(str(e)) from None
     raise InputError(f"unknown set type {kind!r}")
 

@@ -35,14 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, _check_compatible, _check_tol, _dot, _norm, _points_from_rows, norm
+from .core import HilbertPoint, _check_compatible, _dot, _norm, _points_from_rows
 from .derivatives import classify_direction, derivative
-from .errors import NotInSet, ZeroDirection
+from .errors import NotInSet
 from .sets import (  # random_point and cone_region_point: re-exported for callers
     ClosedBall,
     DirectionClass,
     VI_SLACK,
-    _flat_form,
+    _flat_direction,
     _min_variational_inner,
     _stack,
     ball_region_point,
@@ -69,10 +69,7 @@ class OracleEstimate:
 
 def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     """Difference-quotient estimate of the directional derivative at x along v."""
-    _check_tol(tol)
-    flat, xp, vp = _flat_form(s, x, v)
-    if norm(vp) == 0.0:
-        raise ZeroDirection("direction must be nonzero")
+    flat, xp, vp = _flat_direction(s, x, v, tol)
     base = project(flat, xp)
     _check_compatible(xp, vp)
     batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)

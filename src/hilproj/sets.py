@@ -66,6 +66,7 @@ from .errors import (
     NotInSet,
     NotOnSphere,
     SpaceMismatch,
+    ZeroDirection,
     ZeroVertex,
 )
 
@@ -91,6 +92,14 @@ class DirectionClass(enum.Enum):
 def _check_dim(s, x: HilbertPoint, what: str = "set"):
     if x.dim != s.dim:
         raise DimensionMismatch(f"point has dimension {x.dim}, {what} needs {s.dim}")
+
+
+def _whole(n, what: str) -> int:
+    """int(n) for an integral n (an int, a numpy integer or a float such as 2.0)."""
+    d = int(n)
+    if d != n:
+        raise ValueError(f"{what} must be an integer, got {n}")
+    return d
 
 
 def clip_nonnegative(coeffs: np.ndarray) -> np.ndarray:
@@ -330,7 +339,7 @@ class PositiveCone:
     _vi_slack = VI_SLACK
 
     def __post_init__(self):
-        d = int(self.dim)
+        d = _whole(self.dim, "cone dimension")
         if d < 1:
             raise ValueError("cone dimension must be a positive integer")
         object.__setattr__(self, "dim", d)
@@ -399,7 +408,7 @@ class SubspaceSpan:
         if not gens:
             if self.ambient_dim is None:
                 raise ValueError("empty span requires an explicit ambient_dim")
-            d = int(self.ambient_dim)
+            d = _whole(self.ambient_dim, "ambient_dim")
             if d < 1:
                 raise ValueError("ambient_dim must be a positive integer")
             object.__setattr__(self, "ambient_dim", d)
@@ -411,7 +420,7 @@ class SubspaceSpan:
                 raise ValueError("generators must share one dimension")
             if not same_weights(gens[0], u):
                 raise ValueError("generators must share one weight vector")
-        if self.ambient_dim is not None and int(self.ambient_dim) != d:
+        if self.ambient_dim is not None and _whole(self.ambient_dim, "ambient_dim") != d:
             raise ValueError("ambient_dim disagrees with generator dimension")
         object.__setattr__(self, "ambient_dim", d)
         basis = np.stack([u.coeffs for u in gens])
@@ -717,6 +726,15 @@ def _flat_form(s, *points) -> tuple:
     return s._flat_args(*points) if is_bochner_set(s) else (s, *points)
 
 
+def _flat_direction(s, x, v, tol: float) -> tuple:
+    """(flat set, flat x, flat v) after tol, the set's form checks and v != 0, in that order."""
+    _check_tol(tol)
+    flat, fx, fv = _flat_form(s, x, v)
+    if norm(fv) == 0.0:
+        raise ZeroDirection("direction must be nonzero")
+    return flat, fx, fv
+
+
 def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
     """Sum of <x, u_i> u_i over the generators."""
     if s.generators:
@@ -813,11 +831,11 @@ def dual_cone_contains(cone: PositiveCone, z: HilbertPoint, tol: float = DEFAULT
 
 def orthogonal_cone(subspace: SubspaceSpan, ambient_dim: int) -> SubspaceSpan:
     """Orthonormal basis of the orthogonal complement of the span."""
-    if subspace.dim != int(ambient_dim):
+    n = _whole(ambient_dim, "ambient_dim")
+    if subspace.dim != n:
         raise DimensionMismatch(
             f"generators have dimension {subspace.dim}, ambient is {ambient_dim}"
         )
-    n = int(ambient_dim)
     k = subspace.n_generators
     if k == 0:
         eye = np.eye(n)
@@ -857,16 +875,15 @@ def cone_inverse_translation_check(
     return left == right
 
 
-def _member_matrix(s, n: int, rng, include=()) -> tuple:
+def _member_matrix(s, n: int, rng, anchors=()) -> tuple:
     """n random set members as rows of an (n, flat_dim) array, plus weights.
 
     Rows lean toward the extreme points (sphere for balls, sparse rays for
-    cones) and a random half of them is blended toward the include anchors
-    so the variational inequality gets probed where it is tight. Bochner
-    members come back flattened; the second return value is the coordinate
-    weighting shared by every row (None for unweighted sets).
+    cones) and a random half of them is blended toward the anchors, set
+    members in flat form, so the variational inequality gets probed where it
+    is tight. Bochner members come back flattened; the second return value
+    is the coordinate weighting shared by every row (None for unweighted sets).
     """
-    anchors = _flat_form(s, *include)[1:] if include else ()
     z, weights = s._member_rows(n, rng, anchors)
     if anchors:
         rows = np.stack([a.coeffs for a in anchors])
@@ -884,7 +901,7 @@ def _min_variational_inner(s, x, u, n: int, rng) -> float:
     """
     _, xp, up = _flat_form(s, x, u)
     w = (xp - up).coeffs
-    zs, _ = _member_matrix(s, n, rng, include=(u,))
+    zs, _ = _member_matrix(s, n, rng, (up,))
     wvec = w if xp.weights is None else xp.weights * w
     return float(np.min((up.coeffs[None, :] - zs) @ wvec))
 
@@ -896,5 +913,6 @@ def sample_points(s, n: int, rng, include=()) -> list:
     blended into the samples so the variational inequality gets probed where
     it is tight. Bochner members are returned flattened.
     """
-    z, weights = _member_matrix(s, n, rng, include)
+    anchors = _flat_form(s, *include)[1:] if include else ()
+    z, weights = _member_matrix(s, n, rng, anchors)
     return _points_from_rows(z, weights)

@@ -340,3 +340,11 @@ def test_orthonormal_system_report_rejects_single_atom():
         orthonormal_system_report(
             DiscreteProbabilitySpace(("a",), np.array([1.0])), 4
         )
+
+
+def test_a_repeated_atom_is_measured_once():
+    sp = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    x = pt(3.0, 4.0)
+    assert bochner_norm(isometric_embedding(sp, ["a", "a"], x)) == pytest.approx(5.0, abs=1e-12)
+    assert subset_measure(sp, ["a", "b", "c", "a"]) == subset_measure(sp, ["a", "b", "c"])
+    assert subset_measure(sp, ["b", "a", "b"]) == 0.3 + 0.2  # first-appearance order

@@ -37,6 +37,7 @@ from hilproj.jsonio import (
     encode_value,
     loads,
 )
+from hilproj.cli import main
 
 
 def pt(*coeffs, weights=None):
@@ -268,3 +269,25 @@ def test_oracle_estimate_encoding_roundtrips_through_text():
     loaded = loads(dumps(encode_oracle_estimate(kinked)))
     assert loaded["converged"] is False
     assert loaded["value"] is None
+
+
+def test_an_integer_too_large_for_a_double_is_an_input_error(capsys):
+    big = "1" + "0" * 400  # a JSON integer literal beyond the double range
+    pt_json = '{"coeffs":[1,2]}'
+    ball = '{"type":"ball","center":{"coeffs":[0,0]},"radius":%s}'
+    calls = {
+        "coeffs": ["project", "--set", '{"type":"positive_cone","dim":2}',
+                   "--point", '{"coeffs":[%s,2]}' % big],
+        "weights": ["project", "--set", ball % 1,
+                    "--point", '{"coeffs":[1,2],"weights":[1,%s]}' % big],
+        "radius": ["project", "--set", ball % big, "--point", pt_json],
+        "atom weight": ["verify", "--bochner-demo",
+                        '{"atoms":[{"id":"a","weight":%s},{"id":"b","weight":1}]}' % big],
+    }
+    for field, argv in calls.items():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), field
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), field
+    with pytest.raises(InputError):
+        decode_point(json.loads('{"coeffs":[%s]}' % big))

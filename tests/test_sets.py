@@ -62,6 +62,20 @@ def test_cone_requires_positive_dim():
         PositiveCone(0)
 
 
+def test_dimensions_must_be_integral():
+    for bad in (
+        lambda: PositiveCone(2.5),
+        lambda: SubspaceSpan((), ambient_dim=3.7),
+        lambda: SubspaceSpan((pt(1.0, 0.0),), ambient_dim=2.5),
+        lambda: orthogonal_cone(SubspaceSpan((pt(1.0, 0.0),)), 2.9),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bad()
+    assert PositiveCone(2.0).dim == 2 and PositiveCone(np.int64(3)).dim == 3
+    assert SubspaceSpan((), ambient_dim=np.int32(3)).dim == 3
+    assert orthogonal_cone(SubspaceSpan((pt(1.0, 0.0),)), 2.0).generators[0].dim == 2
+
+
 def test_span_validates_generators():
     with pytest.raises(ValueError):
         SubspaceSpan((pt(1.0, 1.0),))  # not unit
