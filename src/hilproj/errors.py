@@ -42,7 +42,7 @@ class ZeroVertex(HilprojError):
 
 
 class SpaceMismatch(HilprojError):
-    """Bochner operands live over different probability spaces."""
+    """Bochner operands live over different probability spaces or differ in per-atom dimension."""
 
 
 class UnknownAtom(HilprojError):

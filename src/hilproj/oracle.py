@@ -43,11 +43,11 @@ from .sets import (  # random_point and cone_region_point: re-exported for calle
     DirectionClass,
     VI_SLACK,
     _flat_direction,
+    _flat_form,
     _min_variational_inner,
     _stack,
     ball_region_point,
     cone_region_point,
-    contains,
     project,
     random_point,
     sample_points,
@@ -93,11 +93,12 @@ def variational_certificate(s, x, u, samples: int = 1000, rng=None) -> dict:
     """Minimum of <x - u, u - z> over sampled z; passes iff >= -1e-9 (-1e-9 r^2 on a ball)."""
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    if not contains(s, u, 1e-9):
+    flat, xp, up = _flat_form(s, x, u)
+    if not flat._contains(up, 1e-9):
         raise NotInSet("candidate projection must belong to the set")
     rng = np.random.default_rng(0) if rng is None else rng
-    min_inner = _min_variational_inner(s, x, u, samples, rng)
-    return {"min_inner": min_inner, "pass": bool(min_inner >= -s._vi_slack)}
+    min_inner = _min_variational_inner(flat, xp, up, samples, rng)
+    return {"min_inner": min_inner, "pass": bool(min_inner >= -flat._vi_slack)}
 
 
 _THRESHOLDS = {  # each property's failure bound, in report order

@@ -24,15 +24,20 @@ one product per point.
   projects onto y iff x agrees with y on the strictly positive coordinates
   and is nonpositive on the zero coordinates;
 * subspace span: the inverse image of y is y + D-perp;
-* Bochner cone: the cone rules applied per atom and per coordinate;
+* Bochner cone: the cone rules on the k*d flat coordinates;
 * Bochner constants: x projects onto the constant y iff E(x) equals y's
   constant value.
 
 The Bochner sets are adapters. They accept a BochnerFunction or its
-flattened weighted coefficient vector, check it once and read either form as
-one (k, d) array without a copy, apply the flat rule (the cone rules, which
-ignore the weights, or one mu-weighted expectation kernel) and return
-results in the form of the argument.
+flattened weighted coefficient vector. Projection reads either form as one
+(k, d) array without a copy and returns its result in the form of the
+argument. Every other query (membership, point classes, inverse images,
+derivatives, the variational certificate) passes :func:`_flat_form` once,
+which checks the space, the per-atom dimension and the weights and names
+the flat set whose rules then run on the flat points: the positive cone of
+the k*d coordinates for the pointwise cone (its rules ignore the weights),
+and the constants themselves, whose rules take one mu-weighted expectation
+kernel.
 """
 
 from __future__ import annotations
@@ -96,8 +101,11 @@ def _check_dim(s, x: HilbertPoint, what: str = "set"):
 
 def _whole(n, what: str) -> int:
     """int(n) for an integral n (an int, a numpy integer or a float such as 2.0)."""
-    d = int(n)
-    if d != n:
+    try:
+        d = int(n)
+    except (OverflowError, ValueError):  # inf, nan
+        d = None
+    if d is None or d != n:
         raise ValueError(f"{what} must be an integer, got {n}")
     return d
 
@@ -116,13 +124,6 @@ def clip_nonnegative(coeffs: np.ndarray) -> np.ndarray:
 def _in_cone(coeffs: np.ndarray, tol: float) -> bool:
     """Cone membership: every coordinate at least -tol."""
     return bool(np.all(coeffs >= -tol))
-
-
-def _cone_inverse_member(y: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    positive = y > tol
-    if np.any(np.abs(x[positive] - y[positive]) > tol):
-        return False
-    return not np.any(x[~positive] > tol)
 
 
 def _check_each(xs, check) -> list:
@@ -360,8 +361,12 @@ class PositiveCone:
         return bool(np.all(x.coeffs > tol))
 
     def _inverse_member(self, y, x, tol: float) -> bool:
+        """x agrees with y where y > tol and is at most tol everywhere else."""
         _check_dim(self, x)
-        return _cone_inverse_member(y.coeffs, x.coeffs, tol)
+        positive = y.coeffs > tol
+        if np.any(np.abs(x.coeffs[positive] - y.coeffs[positive]) > tol):
+            return False
+        return not np.any(x.coeffs[~positive] > tol)
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
         return bool(np.all(x.coeffs < -tol))
@@ -522,10 +527,12 @@ class _BochnerSet:
     """Adapter shared by the Bochner sets: one check per argument.
 
     An argument is a BochnerFunction over ``space`` or its flattened point,
-    whose weights repeat each atom weight d times. Rules run on its (k, d)
-    atom values (a function's ``array``, or the flat coefficients reshaped)
-    or on flat points viewing them. Every result is checked where it is
-    computed, then :meth:`_like` wraps it in the argument's form.
+    whose weights repeat each atom weight d times. :meth:`_flat_args` checks
+    the arguments of a query once and returns the flat set whose rules run
+    on flat points viewing them. Projection runs on the (k, d) atom values
+    (a function's ``array``, or the flat coefficients reshaped); its result
+    is checked where it is computed, then :meth:`_like` wraps it in the
+    argument's form.
     """
 
     space: bo.DiscreteProbabilitySpace
@@ -546,8 +553,9 @@ class _BochnerSet:
         for a in atoms[1:]:
             if a.shape[1] != d:
                 raise SpaceMismatch(f"per-atom dimensions {d} and {a.shape[1]} differ")
+        # the arguments' arrays were checked when they were built
         w = bo.flat_weights(self.space, d)
-        return (self._flat_set(d), *(_trusted(a.reshape(-1), w) for a in atoms))
+        return (self._flat_set(d), *_trusted_rows((a.reshape(-1) for a in atoms), repeat(w)))
 
     def _like(self, x, atoms: np.ndarray):
         """Checked read-only (k, d) atom values in the form of x: no copy, no check.
@@ -575,13 +583,6 @@ class _BochnerSet:
                 out[i] = self._like(xs[i], v)
         return out
 
-    def _same_atoms(self, y, x) -> tuple:
-        """The (k, d) atom values of y and x, which must share the per-atom dimension."""
-        ay, ax = self._atoms(y), self._atoms(x)
-        if ay.shape != ax.shape:
-            raise DimensionMismatch("per-atom dimensions differ")
-        return ay, ax
-
     def _sample_dim(self, anchors) -> int:
         if not anchors:
             raise ValueError("Bochner sampling needs a reference point for the dimension")
@@ -606,16 +607,6 @@ class BochnerPointwiseCone(_BochnerSet):
 
     def _project_atoms(self, values: np.ndarray) -> np.ndarray:
         return clip_nonnegative(values)
-
-    def _contains(self, x, tol: float) -> bool:
-        return _in_cone(self._atoms(x), tol)
-
-    def _interior(self, x, tol: float) -> bool:
-        cone, fx = self._flat_args(x)
-        return cone._interior(fx, tol)
-
-    def _inverse_member(self, y, x, tol: float) -> bool:
-        return _cone_inverse_member(*self._same_atoms(y, x), tol)
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         d = self._sample_dim(anchors)
@@ -664,8 +655,7 @@ class BochnerConstantSubspace(_BochnerSet):
         return self.space.n_atoms == 1
 
     def _inverse_member(self, y, x, tol: float) -> bool:
-        ay, ax = self._same_atoms(y, x)
-        means = bo._mean(self.space.weights, np.stack([ax, ay]))
+        means = bo._mean(self.space.weights, np.stack([self._atoms(x), self._atoms(y)]))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
@@ -694,8 +684,7 @@ def project_constants(f: bo.BochnerFunction) -> bo.BochnerFunction:
 
 
 def in_pointwise_cone(f: bo.BochnerFunction, tol: float = DEFAULT_TOL) -> bool:
-    _check_tol(tol)
-    return BochnerPointwiseCone(f.space)._contains(f, tol)
+    return contains(BochnerPointwiseCone(f.space), f, tol)
 
 
 def cone_inverse_check(g: bo.BochnerFunction, f: bo.BochnerFunction,
@@ -710,10 +699,10 @@ def cone_inverse_check(g: bo.BochnerFunction, f: bo.BochnerFunction,
     """
     _check_tol(tol)
     bo.check_same(g, f)
-    ag, af = BochnerPointwiseCone(g.space)._same_atoms(g, f)
-    if not _in_cone(ag, tol):
+    cone, fg, ff = _flat_form(BochnerPointwiseCone(g.space), g, f)
+    if not cone._contains(fg, tol):
         raise NotInCone("g must lie in the pointwise positive cone")
-    return bool(np.any(np.abs(af - ag) > tol)) and _cone_inverse_member(ag, af, tol)
+    return bool(np.any(np.abs(ff.coeffs - fg.coeffs) > tol)) and cone._inverse_member(fg, ff, tol)
 
 
 def is_bochner_set(s) -> bool:
@@ -776,7 +765,8 @@ def project_sequence(s, xs) -> list:
 def contains(s, x, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies in the set, within an absolute tolerance."""
     _check_tol(tol)
-    return s._contains(x, tol)
+    flat, fx = _flat_form(s, x)
+    return flat._contains(fx, tol)
 
 
 def classify_point(s, y, tol: float = DEFAULT_TOL) -> PointClass:
@@ -789,9 +779,10 @@ def classify_point(s, y, tol: float = DEFAULT_TOL) -> PointClass:
     image equal to the whole space, hence cuticle.
     """
     _check_tol(tol)
-    if not s._contains(y, tol):
+    flat, fy = _flat_form(s, y)
+    if not flat._contains(fy, tol):
         raise NotInSet("point to classify must belong to the set")
-    return PointClass.INTERNAL if s._interior(y, tol) else PointClass.CUTICLE
+    return PointClass.INTERNAL if flat._interior(fy, tol) else PointClass.CUTICLE
 
 
 def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, rng=None) -> bool:
@@ -802,13 +793,14 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
     independent check of the basic variational principle.
     """
     _check_tol(tol)
-    if not s._contains(y, tol):
+    flat, fy, fx = _flat_form(s, y, x)
+    if not flat._contains(fy, tol):
         raise NotInSet("candidate image point must belong to the set")
-    exact = s._inverse_member(y, x, tol)
+    exact = flat._inverse_member(fy, fx, tol)
     if not exact or sample_budget <= 0:
         return exact
     rng = np.random.default_rng(0) if rng is None else rng
-    return _min_variational_inner(s, x, y, sample_budget, rng) >= -s._vi_slack
+    return _min_variational_inner(flat, fx, fy, sample_budget, rng) >= -flat._vi_slack
 
 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:
@@ -870,8 +862,8 @@ def cone_inverse_translation_check(
     t = float(t)
     if t <= 0.0:
         raise ValueError("scale t must be positive")
-    left = _cone_inverse_member((t * y).coeffs, (x - y).coeffs, tol)
-    right = _cone_inverse_member(y.coeffs, (x - t * y).coeffs, tol)
+    left = cone._inverse_member(t * y, x - y, tol)
+    right = cone._inverse_member(y, x - t * y, tol)
     return left == right
 
 
@@ -893,17 +885,17 @@ def _member_matrix(s, n: int, rng, anchors=()) -> tuple:
     return z, weights
 
 
-def _min_variational_inner(s, x, u, n: int, rng) -> float:
+def _min_variational_inner(flat, x, u, n: int, rng) -> float:
     """Minimum of <x - u, u - z> over n sampled members z, in one product.
 
-    The z are the rows sample_points(s, n, rng, include=(u,)) would return,
-    drawn from rng in the same way; the product takes x's own weighting.
+    flat, x and u are what :func:`_flat_form` returns. The z are the rows
+    sample_points(flat, n, rng, include=(u,)) would return, drawn from rng
+    in the same way; the product takes x's own weighting.
     """
-    _, xp, up = _flat_form(s, x, u)
-    w = (xp - up).coeffs
-    zs, _ = _member_matrix(s, n, rng, (up,))
-    wvec = w if xp.weights is None else xp.weights * w
-    return float(np.min((up.coeffs[None, :] - zs) @ wvec))
+    w = (x - u).coeffs
+    zs, _ = _member_matrix(flat, n, rng, (u,))
+    wvec = w if x.weights is None else x.weights * w
+    return float(np.min((u.coeffs[None, :] - zs) @ wvec))
 
 
 def sample_points(s, n: int, rng, include=()) -> list:

@@ -30,7 +30,7 @@ from hilproj import (
     project_sequence,
 )
 from hilproj.core import _trusted_rows
-from hilproj.errors import DimensionMismatch
+from hilproj.errors import SpaceMismatch
 
 
 def _space():
@@ -135,5 +135,5 @@ def test_bochner_inverse_image_needs_one_per_atom_dimension(cls):
     sp = _space()
     s = cls(sp)
     y = project(s, _function(rng, sp, 2))
-    with pytest.raises(DimensionMismatch, match="^per-atom dimensions differ$"):
+    with pytest.raises(SpaceMismatch, match="^per-atom dimensions 2 and 3 differ$"):
         in_inverse_image(s, y, _function(rng, sp, 3))

@@ -314,11 +314,11 @@ def test_bochner_batch_functions_come_from_one_matrix(monkeypatch):
 # -- the private protocol and the test pairs each set draws ------------------
 
 # called on the set itself
-_PROTOCOL = ("_project", "_project_rows", "_contains", "_interior", "_inverse_member",
-             "_member_rows", "_sample_pair")
+_PROTOCOL = ("_project", "_project_rows", "_member_rows", "_sample_pair")
 # called on the flat set that _flat_form returns (the Bochner cone's is the
 # positive cone of its k*d coordinates)
-_FLAT_PROTOCOL = ("_inverse_image_interior", "_segment_direction")
+_FLAT_PROTOCOL = ("_contains", "_interior", "_inverse_member", "_inverse_image_interior",
+                  "_segment_direction")
 
 
 def _protocol_sets():

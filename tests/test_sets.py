@@ -68,6 +68,11 @@ def test_dimensions_must_be_integral():
         lambda: SubspaceSpan((), ambient_dim=3.7),
         lambda: SubspaceSpan((pt(1.0, 0.0),), ambient_dim=2.5),
         lambda: orthogonal_cone(SubspaceSpan((pt(1.0, 0.0),)), 2.9),
+        lambda: PositiveCone(np.inf),
+        lambda: PositiveCone(np.nan),
+        lambda: SubspaceSpan((), ambient_dim=np.inf),
+        lambda: SubspaceSpan((pt(1.0, 0.0),), ambient_dim=np.nan),
+        lambda: orthogonal_cone(SubspaceSpan((pt(1.0, 0.0),)), np.inf),
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             bad()
