@@ -3,192 +3,21 @@
 Closed-form projections, their one-sided directional derivatives, exact
 inverse-image geometry, discretized Bochner-space constructions, and
 independent numerical oracles for verifying all of it.
+
+Each module lists the public names it defines in its own ``__all__``;
+the package exports their union.
 """
 
-from .bochner import (
-    BochnerFunction,
-    DiscreteProbabilitySpace,
-    OrthonormalSystemReport,
-    bochner_distance,
-    bochner_inner,
-    bochner_norm,
-    check_same,
-    constant_function,
-    expectation,
-    find_half_measure_subset,
-    flat_weights,
-    flatten,
-    isometric_embedding,
-    orthonormal_system_report,
-    simple_function,
-    subset_measure,
-    unflatten,
-)
-from .core import (
-    DEFAULT_TOL,
-    HilbertPoint,
-    inner,
-    modulus_convexity,
-    modulus_smoothness,
-    norm,
-    norm_directional_derivative,
-    zeros_like,
-)
-from .derivatives import (
-    NOT_COVERED_TAG,
-    DerivativeResult,
-    DirectionClass,
-    ball_derivative,
-    bochner_ball_derivative,
-    classify_direction,
-    cone_derivative,
-    constants_subspace_derivative,
-    derivative,
-    generic_facts_derivative,
-    homogeneity_check,
-)
-from .errors import (
-    DimensionMismatch,
-    EmptySubset,
-    HilprojError,
-    InputError,
-    NoHalfMeasureSubset,
-    NotCovered,
-    NotInCone,
-    NotInSet,
-    NotOnSphere,
-    NotUnitVector,
-    OutOfDomain,
-    SpaceMismatch,
-    UnknownAtom,
-    WeightMismatch,
-    ZeroDirection,
-    ZeroVertex,
-)
-from .fourier import basis_function, evaluate, trig_coefficients
-from .oracle import (
-    OracleEstimate,
-    ball_region_point,
-    cone_region_point,
-    fd_derivative,
-    property_battery,
-    random_point,
-    sphere_direction,
-    variational_certificate,
-)
-from .sets import (
-    BochnerConstantSubspace,
-    BochnerPointwiseCone,
-    ClosedBall,
-    PointClass,
-    PositiveCone,
-    SubspaceSpan,
-    ball_inverse_ray,
-    classify_point,
-    cone_inverse_check,
-    cone_inverse_translation_check,
-    contains,
-    distance,
-    dual_cone_contains,
-    in_inverse_image,
-    in_pointwise_cone,
-    is_bochner_set,
-    orthogonal_cone,
-    project,
-    project_constants,
-    project_pointwise_cone,
-    project_sequence,
-    sample_points,
-    span_component,
-)
+from . import bochner, core, derivatives, errors, fourier, oracle, sets
+from .bochner import *
+from .core import *
+from .derivatives import *
+from .errors import *
+from .fourier import *
+from .oracle import *
+from .sets import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BochnerConstantSubspace",
-    "BochnerFunction",
-    "BochnerPointwiseCone",
-    "ClosedBall",
-    "DEFAULT_TOL",
-    "DerivativeResult",
-    "DimensionMismatch",
-    "DirectionClass",
-    "DiscreteProbabilitySpace",
-    "EmptySubset",
-    "HilbertPoint",
-    "NOT_COVERED_TAG",
-    "HilprojError",
-    "InputError",
-    "NoHalfMeasureSubset",
-    "NotCovered",
-    "NotInCone",
-    "NotInSet",
-    "NotOnSphere",
-    "NotUnitVector",
-    "OracleEstimate",
-    "OrthonormalSystemReport",
-    "OutOfDomain",
-    "PointClass",
-    "PositiveCone",
-    "SpaceMismatch",
-    "SubspaceSpan",
-    "UnknownAtom",
-    "WeightMismatch",
-    "ZeroDirection",
-    "ZeroVertex",
-    "ball_derivative",
-    "ball_inverse_ray",
-    "ball_region_point",
-    "basis_function",
-    "bochner_ball_derivative",
-    "bochner_distance",
-    "bochner_inner",
-    "bochner_norm",
-    "check_same",
-    "classify_direction",
-    "classify_point",
-    "cone_derivative",
-    "cone_region_point",
-    "cone_inverse_check",
-    "cone_inverse_translation_check",
-    "constant_function",
-    "constants_subspace_derivative",
-    "contains",
-    "derivative",
-    "distance",
-    "dual_cone_contains",
-    "evaluate",
-    "expectation",
-    "find_half_measure_subset",
-    "flat_weights",
-    "fd_derivative",
-    "flatten",
-    "generic_facts_derivative",
-    "homogeneity_check",
-    "in_inverse_image",
-    "in_pointwise_cone",
-    "inner",
-    "is_bochner_set",
-    "isometric_embedding",
-    "modulus_convexity",
-    "modulus_smoothness",
-    "norm",
-    "norm_directional_derivative",
-    "orthogonal_cone",
-    "orthonormal_system_report",
-    "project",
-    "project_constants",
-    "project_pointwise_cone",
-    "project_sequence",
-    "random_point",
-    "property_battery",
-    "sample_points",
-    "span_component",
-    "simple_function",
-    "sphere_direction",
-    "subset_measure",
-    "trig_coefficients",
-    "unflatten",
-    "variational_certificate",
-    "zeros_like",
-]
+__all__ = [*bochner.__all__, *core.__all__, *derivatives.__all__, *errors.__all__,
+           *fourier.__all__, *oracle.__all__, *sets.__all__]

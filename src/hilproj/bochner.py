@@ -37,6 +37,26 @@ from .errors import (
     WeightMismatch,
 )
 
+__all__ = [
+    "BochnerFunction",
+    "DiscreteProbabilitySpace",
+    "OrthonormalSystemReport",
+    "bochner_distance",
+    "bochner_inner",
+    "bochner_norm",
+    "check_same",
+    "constant_function",
+    "expectation",
+    "find_half_measure_subset",
+    "flat_weights",
+    "flatten",
+    "isometric_embedding",
+    "orthonormal_system_report",
+    "simple_function",
+    "subset_measure",
+    "unflatten",
+]
+
 _WEIGHT_SUM_TOL = 1e-12
 _SUBSET_SEARCH_LIMIT = 22
 

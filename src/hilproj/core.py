@@ -35,6 +35,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotUnitVector, OutOfDomain, WeightMismatch
 
+__all__ = [
+    "DEFAULT_TOL",
+    "HilbertPoint",
+    "inner",
+    "modulus_convexity",
+    "modulus_smoothness",
+    "norm",
+    "norm_directional_derivative",
+    "zeros_like",
+]
+
 DEFAULT_TOL = 1e-9
 
 

@@ -53,6 +53,19 @@ from .sets import (
     _in_cone,
 )
 
+__all__ = [
+    "NOT_COVERED_TAG",
+    "DerivativeResult",
+    "ball_derivative",
+    "bochner_ball_derivative",
+    "classify_direction",
+    "cone_derivative",
+    "constants_subspace_derivative",
+    "derivative",
+    "generic_facts_derivative",
+    "homogeneity_check",
+]
+
 NOT_COVERED_TAG = "NotCoveredByPaper"
 
 _PARALLEL_TOL = 1e-9

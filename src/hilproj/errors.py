@@ -4,6 +4,25 @@ Every contract violation raises one of these instead of a bare ValueError,
 so callers (and the CLI) can map failures onto stable categories.
 """
 
+__all__ = [
+    "DimensionMismatch",
+    "EmptySubset",
+    "HilprojError",
+    "InputError",
+    "NoHalfMeasureSubset",
+    "NotCovered",
+    "NotInCone",
+    "NotInSet",
+    "NotOnSphere",
+    "NotUnitVector",
+    "OutOfDomain",
+    "SpaceMismatch",
+    "UnknownAtom",
+    "WeightMismatch",
+    "ZeroDirection",
+    "ZeroVertex",
+]
+
 
 class HilprojError(Exception):
     """Base class for all library errors."""

@@ -21,6 +21,12 @@ import numpy as np
 
 from .core import HilbertPoint
 
+__all__ = [
+    "basis_function",
+    "evaluate",
+    "trig_coefficients",
+]
+
 
 def basis_function(index: int):
     """The index-th orthonormal trigonometric basis function as a callable."""

@@ -38,7 +38,7 @@ import numpy as np
 from .core import HilbertPoint, _check_compatible, _dot, _norm, _points_from_rows
 from .derivatives import classify_direction, derivative
 from .errors import NotInSet
-from .sets import (  # random_point and cone_region_point: re-exported for callers
+from .sets import (  # random_point and cone_region_point: importable from here too
     ClosedBall,
     DirectionClass,
     VI_SLACK,
@@ -53,6 +53,13 @@ from .sets import (  # random_point and cone_region_point: re-exported for calle
     sample_points,
     sphere_direction,
 )
+
+__all__ = [
+    "OracleEstimate",
+    "fd_derivative",
+    "property_battery",
+    "variational_certificate",
+]
 
 _STEPS = 2.0 ** -np.arange(4.0, 27.0)
 

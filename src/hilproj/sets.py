@@ -75,6 +75,37 @@ from .errors import (
     ZeroVertex,
 )
 
+__all__ = [
+    "BochnerConstantSubspace",
+    "BochnerPointwiseCone",
+    "ClosedBall",
+    "DirectionClass",
+    "PointClass",
+    "PositiveCone",
+    "SubspaceSpan",
+    "ball_inverse_ray",
+    "ball_region_point",
+    "classify_point",
+    "cone_inverse_check",
+    "cone_inverse_translation_check",
+    "cone_region_point",
+    "contains",
+    "distance",
+    "dual_cone_contains",
+    "in_inverse_image",
+    "in_pointwise_cone",
+    "is_bochner_set",
+    "orthogonal_cone",
+    "project",
+    "project_constants",
+    "project_pointwise_cone",
+    "project_sequence",
+    "random_point",
+    "sample_points",
+    "span_component",
+    "sphere_direction",
+]
+
 _ORTHONORMAL_TOL = 1e-9
 # slack of the sampled variational inequality <x - u, u - z> >= -VI_SLACK
 VI_SLACK = 1e-9
@@ -649,13 +680,14 @@ class BochnerConstantSubspace(_BochnerSet):
         return float(np.sqrt(self.space.weights @ np.sum(gap * gap, axis=1)))
 
     def _contains(self, x, tol: float) -> bool:
-        return self._spread(self._atoms(x)) <= tol
+        return self._spread(x.coeffs.reshape(self.space.n_atoms, -1)) <= tol
 
     def _interior(self, x, tol: float) -> bool:
         return self.space.n_atoms == 1
 
     def _inverse_member(self, y, x, tol: float) -> bool:
-        means = bo._mean(self.space.weights, np.stack([self._atoms(x), self._atoms(y)]))
+        k = self.space.n_atoms
+        means = bo._mean(self.space.weights, np.stack([x.coeffs, y.coeffs]).reshape(2, k, -1))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
@@ -663,7 +695,7 @@ class BochnerConstantSubspace(_BochnerSet):
 
     def _segment_direction(self, x, v, tol: float) -> bool:
         """Whether v is constant, relative to its size."""
-        values = self._atoms(v)
+        values = v.coeffs.reshape(self.space.n_atoms, -1)
         size = np.sqrt(self.space.weights @ np.sum(values * values, axis=1))
         return self._spread(values) <= tol * max(1.0, float(size))
 
@@ -790,9 +822,12 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
 
     With sample_budget > 0, additionally samples that many points z of the
     set and requires <x - y, y - z> >= -1e-9 (-1e-9 r^2 on a ball), an
-    independent check of the basic variational principle.
+    independent check of the basic variational principle. A negative
+    sample_budget raises ValueError.
     """
     _check_tol(tol)
+    if sample_budget < 0:
+        raise ValueError("sample_budget must be nonnegative")
     flat, fy, fx = _flat_form(s, y, x)
     if not flat._contains(fy, tol):
         raise NotInSet("candidate image point must belong to the set")
