@@ -13,7 +13,7 @@ delta(eps) = 1 - sqrt(1 - eps^2/4), the modulus of smoothness
 rho(t) = sqrt(1 + t^2) - 1, and the one-sided directional derivative of the
 norm on the unit sphere, which reduces to the plain inner product.
 
-Points are validated at the boundary: the constructor, ``replace_coeffs`` and
+Points are validated at the boundary: the constructor and
 ``_points_from_rows`` copy and check; a read-only weights array that owns its
 data is checked and shared, so the points of one weighting compare it by
 identity. Arithmetic on checked points builds its fresh result with
@@ -74,10 +74,6 @@ class HilbertPoint:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def replace_coeffs(self, coeffs) -> "HilbertPoint":
-        """New point with the same weighting and different coefficients."""
-        return HilbertPoint(coeffs, self.weights)
 
     def __add__(self, other: "HilbertPoint") -> "HilbertPoint":
         _check_compatible(self, other)

@@ -37,7 +37,8 @@ which checks the space, the per-atom dimension and the weights and names
 the flat set whose rules then run on the flat points: the positive cone of
 the k*d coordinates for the pointwise cone (its rules ignore the weights),
 and the constants themselves, whose rules take one mu-weighted expectation
-kernel.
+kernel. A ball, cone or span passes the same door, which checks the
+dimension of every argument, so no rule checks it again.
 """
 
 from __future__ import annotations
@@ -152,11 +153,6 @@ def clip_nonnegative(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _in_cone(coeffs: np.ndarray, tol: float) -> bool:
-    """Cone membership: every coordinate at least -tol."""
-    return bool(np.all(coeffs >= -tol))
-
-
 def _check_each(xs, check) -> list:
     """check(x) for every element, in order; a failure names its index."""
     out = []
@@ -181,9 +177,9 @@ def _stack(xs) -> np.ndarray:
     return np.concatenate([x.coeffs for x in xs]).reshape(len(xs), -1)
 
 
-def random_point(rng, dim: int, weights=None, scale: float = 2.0) -> HilbertPoint:
-    """Coefficients uniform in [-scale, scale]."""
-    return HilbertPoint(rng.uniform(-scale, scale, size=dim), weights)
+def random_point(rng, dim: int, weights=None) -> HilbertPoint:
+    """Coefficients uniform in [-2, 2]."""
+    return HilbertPoint(rng.uniform(-2.0, 2.0, size=dim), weights)
 
 
 def ball_region_point(ball: ClosedBall, region: str, rng, margin: float = 0.1) -> HilbertPoint:
@@ -261,6 +257,7 @@ class ClosedBall:
 
     center: HilbertPoint
     radius: float
+    _noun = "ball"
 
     def __post_init__(self):
         r = float(self.radius)
@@ -314,14 +311,12 @@ class ClosedBall:
         return out
 
     def _contains(self, x, tol: float) -> bool:
-        _check_dim(self, x)
         return self._place(norm(x - self.center), tol) <= 0
 
     def _interior(self, x, tol: float) -> bool:
         return self._place(norm(x - self.center), tol) < 0
 
     def _inverse_member(self, y, x, tol: float) -> bool:
-        _check_dim(self, x)
         # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c)
         d = y - self.center
         w = x - y
@@ -368,6 +363,7 @@ class PositiveCone:
     """Coefficient vectors with every coordinate nonnegative."""
 
     dim: int
+    _noun = "cone"
     _vi_slack = VI_SLACK
 
     def __post_init__(self):
@@ -385,15 +381,17 @@ class PositiveCone:
         return _trusted_rows(_finite(clip_nonnegative(_stack(xs))), (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
-        _check_dim(self, x)
-        return _in_cone(x.coeffs, tol)
+        return bool(np.all(x.coeffs >= -tol))
+
+    def _dual_contains(self, x, tol: float) -> bool:
+        """Every coordinate at most tol: membership in the dual cone."""
+        return bool(np.all(x.coeffs <= tol))
 
     def _interior(self, x, tol: float) -> bool:
         return bool(np.all(x.coeffs > tol))
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         """x agrees with y where y > tol and is at most tol everywhere else."""
-        _check_dim(self, x)
         positive = y.coeffs > tol
         if np.any(np.abs(x.coeffs[positive] - y.coeffs[positive]) > tol):
             return False
@@ -436,6 +434,7 @@ class SubspaceSpan:
 
     generators: tuple = ()
     ambient_dim: int | None = None
+    _noun = "span"
     _vi_slack = VI_SLACK
 
     def __post_init__(self):
@@ -499,18 +498,10 @@ class SubspaceSpan:
         return span_component(self, x)
 
     def _project_rows(self, xs) -> list:
-        def check(x):
-            _check_dim(self, x, "span")
-            if self.generators:
-                _check_compatible(x, self.generators[0])
-
-        _check_each(xs, check)
-        # one product per row, as _project takes it: a stacked X W G^T G rounds differently
-        rows = np.stack([self._coords(x.coeffs) @ self._basis for x in xs])
-        return _trusted_rows(_finite(rows), (x.weights for x in xs))
+        # point by point: a stacked X W G^T G rounds differently from _project
+        return _check_each(xs, self._project)
 
     def _contains(self, x, tol: float) -> bool:
-        _check_dim(self, x)
         return norm(x - span_component(self, x)) <= tol
 
     def _interior(self, x, tol: float) -> bool:
@@ -518,7 +509,6 @@ class SubspaceSpan:
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         """x - y orthogonal to every generator: max |G W (x - y)| <= tol."""
-        _check_dim(self, x)
         w = x - y
         if self.generators:
             _check_compatible(w, self.generators[0])
@@ -529,7 +519,7 @@ class SubspaceSpan:
 
     def _segment_direction(self, x, v, tol: float) -> bool:
         """Whether v lies in the span, relative to its size."""
-        return norm(v - span_component(self, v)) <= tol * max(1.0, norm(v))
+        return self._contains(v, tol * max(1.0, norm(v)))
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         return rng.uniform(-4.0, 4.0, (n, self.n_generators)) @ self._basis, self._weights
@@ -695,9 +685,7 @@ class BochnerConstantSubspace(_BochnerSet):
 
     def _segment_direction(self, x, v, tol: float) -> bool:
         """Whether v is constant, relative to its size."""
-        values = v.coeffs.reshape(self.space.n_atoms, -1)
-        size = np.sqrt(self.space.weights @ np.sum(values * values, axis=1))
-        return self._spread(values) <= tol * max(1.0, float(size))
+        return self._contains(v, tol * max(1.0, norm(v)))
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         d = self._sample_dim(anchors)
@@ -743,8 +731,14 @@ def is_bochner_set(s) -> bool:
 
 
 def _flat_form(s, *points) -> tuple:
-    """(flat set, points in flat form): a Bochner set checks and flattens them once."""
-    return s._flat_args(*points) if is_bochner_set(s) else (s, *points)
+    """(flat set, flat points): a Bochner set checks and flattens, a flat set checks dimensions."""
+    if is_bochner_set(s):
+        return s._flat_args(*points)
+    for p in points:
+        if p.dim != s.dim:
+            dims = "/".join(str(q.dim) for q in points)
+            raise DimensionMismatch(f"{s._noun} of dimension {s.dim} got {dims}")
+    return (s, *points)
 
 
 def _flat_direction(s, x, v, tol: float) -> tuple:
@@ -785,10 +779,11 @@ def project_sequence(s, xs) -> list:
 
     Each element is first checked as :func:`project` checks it, with the
     same exception type and message prefixed by ``element i:``. The batch is
-    then stacked and projected as one array (one product per row on a span,
-    as :func:`project` takes it), and the result equals element-wise
-    :func:`project` bit for bit on every set. Points in the result are
-    read-only rows of that array; Bochner results mirror each element's form.
+    then stacked and projected as one array, and the result equals
+    element-wise :func:`project` bit for bit on every set. Points in the
+    result are read-only rows of that array; Bochner results mirror each
+    element's form. A span projects point by point, with :func:`project`
+    itself: a stacked product rounds differently.
     """
     xs = list(xs)
     return s._project_rows(xs) if xs else []
@@ -853,7 +848,7 @@ def dual_cone_contains(cone: PositiveCone, z: HilbertPoint, tol: float = DEFAULT
     """Membership in the dual cone: all coordinates nonpositive."""
     _check_tol(tol)
     _check_dim(cone, z)
-    return _in_cone(-z.coeffs, tol)
+    return cone._dual_contains(z, tol)
 
 
 def orthogonal_cone(subspace: SubspaceSpan, ambient_dim: int) -> SubspaceSpan:
