@@ -35,11 +35,16 @@ from .errors import (
     WeightMismatch,
 )
 from .oracle import fd_derivative, property_battery
-from .sets import ClosedBall, _flat_form, _gap, classify_point, in_inverse_image, is_bochner_set, project
-
-_DIM_ERRORS = (DimensionMismatch, WeightMismatch, SpaceMismatch)
-# every other library error, and bad values, are input errors
-_INPUT_ERRORS = (HilprojError, ValueError)
+from .sets import (
+    ClosedBall,
+    _check_each,
+    _flat_form,
+    _gap,
+    classify_point,
+    in_inverse_image,
+    is_bochner_set,
+    project,
+)
 
 
 def _load(arg: str):
@@ -82,16 +87,10 @@ def _cmd_project(args):
     if args.batch:
         if not isinstance(obj, list):
             raise InputError("--batch expects a JSON array of points")
-        payload = {"projections": [], "distances": []}
-        for i, entry in enumerate(obj):
-            try:
-                x = _decode_point_for(s, entry)
-                u = project(s, x)
-                payload["projections"].append(jsonio.encode_value(u))
-                payload["distances"].append(_gap(x, u))
-            except (InputError, *(_DIM_ERRORS)) as e:
-                raise type(e)(f"element {i}: {e}") from None
-        return 0, payload
+        xs = _check_each(obj, lambda entry: _decode_point_for(s, entry))
+        us = _check_each(xs, lambda x: project(s, x))
+        return 0, {"projections": [jsonio.encode_value(u) for u in us],
+                   "distances": [_gap(x, u) for x, u in zip(xs, us)]}
     x = _decode_point_for(s, obj)
     u = project(s, x)
     return 0, {"projection": jsonio.encode_value(u), "distance": _gap(x, u)}
@@ -265,10 +264,10 @@ def main(argv=None) -> int:
         if not (np.isfinite(args.tol) and args.tol >= 0.0):
             raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
         code, payload = args.handler(args)
-    except _DIM_ERRORS as e:
+    except (DimensionMismatch, WeightMismatch, SpaceMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as e:
+    except (HilprojError, ValueError) as e:  # every other library error, and bad values
         print(f"error: {e}", file=sys.stderr)
         return 2
     if payload is not None:

@@ -11,7 +11,7 @@ Every derivative, :func:`classify_direction` and ``fd_derivative`` check
 ``tol`` first, then the set's form checks, then that the direction is
 nonzero, all in ``sets._flat_direction``. The form checks are the same door
 for every set: the space, per-atom dimension and weights of a Bochner
-argument, the dimension of a ball, cone or span argument.
+argument, the dimension and one weighting of ball, cone or span arguments.
 
 Covered cases:
 

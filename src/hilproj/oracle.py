@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, _check_compatible, _dot, _norm, _points_from_rows
+from .core import DEFAULT_TOL, HilbertPoint, _dot, _norm, _points_from_rows
 from .derivatives import classify_direction, derivative
 from .errors import NotInSet
 from .sets import (  # random_point and cone_region_point: importable from here too
@@ -78,7 +78,6 @@ def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     """Difference-quotient estimate of the directional derivative at x along v."""
     flat, xp, vp = _flat_direction(s, x, v, tol)
     base = project(flat, xp)
-    _check_compatible(xp, vp)
     batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
     trail = flat._project_rows(batch)
     quotients = (1.0 / _STEPS)[:, None] * (_stack(trail) - base.coeffs)
@@ -101,7 +100,7 @@ def variational_certificate(s, x, u, samples: int = 1000, rng=None) -> dict:
     if samples < 1:
         raise ValueError("samples must be a positive integer")
     flat, xp, up = _flat_form(s, x, u)
-    if not flat._contains(up, 1e-9):
+    if not flat._contains(up, DEFAULT_TOL):
         raise NotInSet("candidate projection must belong to the set")
     rng = np.random.default_rng(0) if rng is None else rng
     min_inner = _min_variational_inner(flat, xp, up, samples, rng)
@@ -135,8 +134,7 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
         y, _ = s._sample_pair(rng, False)
         px, py = project(s, x), project(s, y)
         zs = sample_points(s, 8, rng, include=(px,))
-        for p in (y, px, py, zs[0]):  # the members share one weighting
-            _check_compatible(x, p)
+        _flat_form(s, x, y, px, py, zs[0])  # the members share one weighting
         w, xa, pa = x.weights, x.coeffs, px.coeffs
         r, dp, dx = xa - pa, pa - py.coeffs, xa - y.coeffs
         sq = _dot(w, r, r)
@@ -154,7 +152,6 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
             lam = (0.5, 2.0, 10.0)[int(rng.integers(3))]
             scaled = derivative(s, xc, lam * vc)
             if scaled.covered:
-                _check_compatible(scaled.value, base.value)
                 w, b = scaled.value.weights, base.value.coeffs
                 residual = _norm(w, scaled.value.coeffs - b * lam) / max(1.0, lam * _norm(w, b))
         res["homogeneous"].append(residual)
@@ -163,9 +160,7 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
             klass = DirectionClass.UP if rng.integers(2) else DirectionClass.DOWN
             v = sphere_direction(s, xs, klass, rng, margin=1e-3)
             label = classify_direction(s, xs, v)
-            r, c = s.radius, s.center
-            for p in (v, c):
-                _check_compatible(xs, p)
+            r, c = s.radius, s.center  # classify_direction checked v and c against xs
             sign = -1.0 if label is DirectionClass.UP else 1.0
             worst = 0.0
             for t in (1e-4, 1e-6):

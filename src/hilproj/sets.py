@@ -37,8 +37,10 @@ which checks the space, the per-atom dimension and the weights and names
 the flat set whose rules then run on the flat points: the positive cone of
 the k*d coordinates for the pointwise cone (its rules ignore the weights),
 and the constants themselves, whose rules take one mu-weighted expectation
-kernel. A ball, cone or span passes the same door, which checks the
-dimension of every argument, so no rule checks it again.
+kernel. A ball, cone or span argument, of a query or a paper helper, passes
+the same door: a non-point or a wrong dimension gets one text, then two
+weightings are turned away. Projection tests dimensions in one comparison
+per point; a ball's centre and a span's generators check their weighting.
 """
 
 from __future__ import annotations
@@ -124,11 +126,6 @@ class PointClass(enum.Enum):
 class DirectionClass(enum.Enum):
     UP = "Up"
     DOWN = "Down"
-
-
-def _check_dim(s, x: HilbertPoint, what: str = "set"):
-    if x.dim != s.dim:
-        raise DimensionMismatch(f"point has dimension {x.dim}, {what} needs {s.dim}")
 
 
 def _whole(n, what: str) -> int:
@@ -278,11 +275,16 @@ class ClosedBall:
         slack = tol * self.radius
         return (dist > self.radius + slack) * 1 - (dist < self.radius - slack)
 
+    def _check(self, x):
+        """x's dimension as the door tests it, then its weighting against the centre's."""
+        if getattr(x, "dim", None) != self.center.dim or not same_weights(x, self.center):
+            _check_compatible(_check_point(self, x), self.center)
+
     def _project(self, x):
         # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
         # in place; s*diff + c rounds as c + s*diff does
+        self._check(x)
         c = self.center
-        _check_compatible(x, c)
         diff = x.coeffs - c.coeffs
         if not np.isfinite(diff).all():
             raise ValueError("coeffs must be finite")
@@ -294,8 +296,8 @@ class ClosedBall:
         return _trusted(diff, c.weights)
 
     def _project_rows(self, xs) -> list:
+        _check_each(xs, self._check)
         c = self.center
-        _check_each(xs, lambda x: _check_compatible(x, c))
         diff = _stack(xs) - c.coeffs
         wdiff = diff if c.weights is None else c.weights * diff
         # one np.dot per row, as norm() takes it, so the band test and the
@@ -373,11 +375,10 @@ class PositiveCone:
         object.__setattr__(self, "dim", d)
 
     def _project(self, x):
-        _check_dim(self, x, "cone")
-        return _trusted(clip_nonnegative(x.coeffs), x.weights)
+        return _trusted(clip_nonnegative(_check_point(self, x).coeffs), x.weights)
 
     def _project_rows(self, xs) -> list:
-        _check_each(xs, lambda x: _check_dim(self, x, "cone"))
+        _check_each(xs, lambda x: _check_point(self, x))
         return _trusted_rows(_finite(clip_nonnegative(_stack(xs))), (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
@@ -494,8 +495,7 @@ class SubspaceSpan:
         return (rows if w is None else rows * w) @ self._basis.T
 
     def _project(self, x):
-        _check_dim(self, x, "span")
-        return span_component(self, x)
+        return span_component(self, _check_point(self, x))
 
     def _project_rows(self, xs) -> list:
         # point by point: a stacked X W G^T G rounds differently from _project
@@ -509,10 +509,7 @@ class SubspaceSpan:
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         """x - y orthogonal to every generator: max |G W (x - y)| <= tol."""
-        w = x - y
-        if self.generators:
-            _check_compatible(w, self.generators[0])
-        return bool(np.max(np.abs(self._coords(w.coeffs)), initial=0.0) <= tol)
+        return bool(np.max(np.abs(self._coords((x - y).coeffs)), initial=0.0) <= tol)
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
         return False
@@ -731,14 +728,23 @@ def is_bochner_set(s) -> bool:
 
 
 def _flat_form(s, *points) -> tuple:
-    """(flat set, flat points): a Bochner set checks and flattens, a flat set checks dimensions."""
+    """(flat set, flat points): a Bochner set flattens; a flat set checks points, dimension, weights."""
     if is_bochner_set(s):
         return s._flat_args(*points)
     for p in points:
-        if p.dim != s.dim:
-            dims = "/".join(str(q.dim) for q in points)
+        if getattr(p, "dim", None) != s.dim:
+            dims = "/".join(str(getattr(q, "dim", type(q).__name__)) for q in points)
             raise DimensionMismatch(f"{s._noun} of dimension {s.dim} got {dims}")
+    for p in points[1:]:
+        _check_compatible(points[0], p)
     return (s, *points)
+
+
+def _check_point(s, x):
+    """x, after the door's dimension check for a ball, cone or span, in one comparison."""
+    if getattr(x, "dim", None) != s.dim:
+        _flat_form(s, x)
+    return x
 
 
 def _flat_direction(s, x, v, tol: float) -> tuple:
@@ -790,7 +796,7 @@ def project_sequence(s, xs) -> list:
 
 
 def contains(s, x, tol: float = DEFAULT_TOL) -> bool:
-    """Whether x lies in the set, within an absolute tolerance."""
+    """Whether x lies in the set: within tol * r on a ball of radius r, within tol elsewhere."""
     _check_tol(tol)
     flat, fx = _flat_form(s, x)
     return flat._contains(fx, tol)
@@ -835,7 +841,7 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:
     """Point y + t(y - c) of the inverse-image ray at a sphere point y."""
-    _check_dim(ball, y)
+    ball, y = _flat_form(ball, y)
     if ball._place(norm(y - ball.center), DEFAULT_TOL) != 0:
         raise NotOnSphere("ray vertex must lie on the sphere")
     t = float(t)
@@ -847,7 +853,7 @@ def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoin
 def dual_cone_contains(cone: PositiveCone, z: HilbertPoint, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the dual cone: all coordinates nonpositive."""
     _check_tol(tol)
-    _check_dim(cone, z)
+    cone, z = _flat_form(cone, z)
     return cone._dual_contains(z, tol)
 
 
@@ -883,8 +889,7 @@ def cone_inverse_translation_check(
     the check passes when the two sides agree about x.
     """
     _check_tol(tol)
-    _check_dim(cone, y)
-    _check_dim(cone, x)
+    cone, y, x = _flat_form(cone, y, x)
     if not cone._contains(y, tol):
         raise NotInSet("translation vertex must lie in the cone")
     if norm(y) <= tol:
