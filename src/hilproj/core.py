@@ -217,6 +217,14 @@ def _norm(w, a: np.ndarray) -> float:
     return math.sqrt(max(_dot(w, a, a), 0.0))
 
 
+def _finite_norm(w, a: np.ndarray) -> float:
+    """_norm(w, a), or ValueError for a non-finite a, scanned only when the norm is not finite."""
+    n = _norm(w, a)
+    if not math.isfinite(n) and not np.isfinite(a).all():
+        raise ValueError("coeffs must be finite")
+    return n
+
+
 def modulus_convexity(eps: float) -> float:
     """Modulus of convexity delta(eps) = 1 - sqrt(1 - eps^2/4) on [0, 2].
 

@@ -18,7 +18,7 @@ Covered cases:
 * closed ball — interior: v; exterior: (r/d^3)(d^2 v - <x-c,v>(x-c)) with
   d = ||x-c||, reducing to theta when v points along x-c; sphere: the Up
   directions get v - (1/r^2)<x-c,v>(x-c), outward radial directions get
-  theta, Down directions get v;
+  theta, Down directions (<x-c,v> < -tol r ||v||, so a tie is Up) get v;
 * positive cone — x and v both in the cone: v; x and v both in the dual
   cone: theta; x with all coordinates strictly positive: v for every v;
 * Bochner pointwise cone — the cone cases and the generic facts of the
@@ -92,7 +92,8 @@ def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     d = x - ball.center
     if ball._place(norm(d), tol) != 0:
         raise NotOnSphere("direction classes are defined at sphere points only")
-    return DirectionClass.UP if inner(d, v) >= 0.0 else DirectionClass.DOWN
+    g = inner(d, v)
+    return DirectionClass.DOWN if g < 0.0 and g < -tol * ball.radius * norm(v) else DirectionClass.UP
 
 
 def _parallel(v: HilbertPoint, d: HilbertPoint, g: float) -> bool:
@@ -111,7 +112,7 @@ def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     g = inner(d, v)
     place = ball._place(dist, tol)
     if place == 0:
-        if g < 0.0:
+        if g < 0.0 and g < -tol * r * norm(v):
             return DerivativeResult(True, "Thm4.1(iii)(c)", v)
         if g > 0.0 and _parallel(v, d, g):
             return DerivativeResult(True, "Thm4.1(iii)(b)", zeros_like(v))

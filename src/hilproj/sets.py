@@ -12,10 +12,10 @@ variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's
 test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1 with margins
 relative to the radius. The public functions (:func:`project`,
 :func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate
-to them. A single projection forms its result in one new array: the ball
-scales and shifts its one x - c array in place (a weighted norm adds the
-temporary w (x - c)), the cone clips into a fresh array, and the span takes
-one product per point.
+to them. A single projection or distance forms one new array: the ball
+scales and shifts x - c in place into P(x), and a distance subtracts that
+from x in place; the cone clips, and a distance takes min(x, 0), x - P(x)
+up to signs of zero; the span takes one product, and subtracts x from it.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
@@ -59,6 +59,7 @@ from .core import (
     _check_tol,
     _dot,
     _finite,
+    _finite_norm,
     _norm,
     _points_from_rows,
     _trusted,
@@ -295,6 +296,16 @@ class ClosedBall:
         diff += c.coeffs
         return _trusted(diff, c.weights)
 
+    def _distance(self, x) -> float:
+        self._check(x)
+        diff = x.coeffs - self.center.coeffs
+        d = _finite_norm(x.weights, diff)
+        if self._place(d, _SPHERE_BAND) <= 0:
+            return 0.0
+        diff *= self.radius / d
+        diff += self.center.coeffs
+        return _finite_norm(x.weights, np.subtract(x.coeffs, diff, out=diff))
+
     def _project_rows(self, xs) -> list:
         _check_each(xs, self._check)
         c = self.center
@@ -376,6 +387,9 @@ class PositiveCone:
 
     def _project(self, x):
         return _trusted(clip_nonnegative(_check_point(self, x).coeffs), x.weights)
+
+    def _distance(self, x) -> float:
+        return _finite_norm(_check_point(self, x).weights, np.minimum(x.coeffs, 0.0))
 
     def _project_rows(self, xs) -> list:
         _check_each(xs, lambda x: _check_point(self, x))
@@ -497,12 +511,22 @@ class SubspaceSpan:
     def _project(self, x):
         return span_component(self, _check_point(self, x))
 
+    def _distance(self, x) -> float:
+        u = self._component(_check_point(self, x))
+        return _finite_norm(x.weights, np.subtract(x.coeffs, u, out=u))
+
+    def _component(self, x) -> np.ndarray:
+        """Sum of <x, u_i> u_i as one fresh array, after x's weighting is checked."""
+        if self.generators:
+            _check_compatible(x, self.generators[0])
+        return self._coords(x.coeffs) @ self._basis
+
     def _project_rows(self, xs) -> list:
         # point by point: a stacked X W G^T G rounds differently from _project
         return _check_each(xs, self._project)
 
     def _contains(self, x, tol: float) -> bool:
-        return norm(x - span_component(self, x)) <= tol
+        return self._distance(x) <= tol
 
     def _interior(self, x, tol: float) -> bool:
         return self.is_full
@@ -587,6 +611,9 @@ class _BochnerSet:
 
     def _project(self, x):
         return self._like(x, _finite(self._project_atoms(self._atoms(x))))
+
+    def _distance(self, x) -> float:
+        return _gap(x, self._project(x))
 
     def _project_rows(self, xs) -> list:
         """The batch as one (n, k, d) array per per-atom dimension d.
@@ -758,9 +785,7 @@ def _flat_direction(s, x, v, tol: float) -> tuple:
 
 def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
     """Sum of <x, u_i> u_i over the generators."""
-    if s.generators:
-        _check_compatible(x, s.generators[0])
-    return _trusted(s._coords(x.coeffs) @ s._basis, x.weights)
+    return _trusted(s._component(x), x.weights)
 
 
 def project(s, x):
@@ -769,15 +794,15 @@ def project(s, x):
 
 
 def _gap(x, u) -> float:
-    """||x - u||, for x and its projection u in the same form."""
+    """||x - u||, for x and its projection u in the same form; flat points in one array."""
     if isinstance(x, bo.BochnerFunction):
         return bo.bochner_distance(x, u)
-    return norm(x - u)
+    return 0.0 if u is x else _finite_norm(x.weights, x.coeffs - u.coeffs)
 
 
 def distance(s, x) -> float:
-    """d(x, C) = ||x - P_C(x)||."""
-    return _gap(x, project(s, x))
+    """d(x, C) = ||x - P_C(x)||, as norm(x - project(s, x)) rounds it, in one new array."""
+    return s._distance(x)
 
 
 def project_sequence(s, xs) -> list:

@@ -7,6 +7,9 @@ shifts its one ``x - c`` array in place. These tests pin the clip to
 d = 1e5, the temporary memory of one projection, and the inputs, which must
 come back untouched. An overflowing x - c is pinned by
 ``test_projection.py::test_project_sequence_overflow_raises_value_error``.
+
+``distance`` forms ||x - P(x)|| in one array as well; its bits and errors
+are pinned to the two-array ``norm(x - project(s, x))``.
 """
 
 import tracemalloc
@@ -14,8 +17,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hilproj import ClosedBall, HilbertPoint, PositiveCone, project, project_sequence
-from hilproj.sets import clip_nonnegative
+from hilproj import (
+    BochnerConstantSubspace,
+    BochnerFunction,
+    BochnerPointwiseCone,
+    ClosedBall,
+    DiscreteProbabilitySpace,
+    HilbertPoint,
+    PositiveCone,
+    SubspaceSpan,
+    bochner_distance,
+    distance,
+    flatten,
+    norm,
+    project,
+    project_sequence,
+)
+from hilproj.core import _finite_norm
+from hilproj.sets import _gap, clip_nonnegative
 
 D = 100_000
 
@@ -110,3 +129,123 @@ def test_projection_leaves_its_input_untouched(name):
     if isinstance(s, ClosedBall):
         assert not s.center.coeffs.flags.writeable
 
+
+
+def _two_array_distance(s, x):
+    """The projection, then x - P(x) as a second checked point."""
+    return norm(x - project(s, x))
+
+
+def _outcome(f, *args):
+    try:
+        return float(f(*args)).hex()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _distance_cases():
+    rng = np.random.default_rng(19)
+    w = rng.uniform(0.5, 2.0, 6)
+    for lam in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        for weights in (None, w):
+            c = HilbertPoint(lam * np.array([0.5, -0.0, -1.0, 0.25, 0.0, 2.0]), weights)
+            ball = ClosedBall(c, lam * 1.5)
+            wn = np.ones(6) if weights is None else weights
+            for _ in range(5):
+                u = rng.standard_normal(6)
+                u /= np.sqrt(np.dot(u * wn, u))
+                # inside, on the sphere, in the 1e-12 r band, just beyond it, outside
+                for k in (0.3, 1.0, 1.0 + 1e-13, 1.0 + 1e-11, 3.0):
+                    yield ball, HilbertPoint(c.coeffs + k * ball.radius * u, weights)
+    # +-0.0, subnormals, +-1e308 and +-max, alone and mixed
+    edges = _edge_values(rng)
+    for weighted in (False, True):
+        weights = rng.uniform(0.5, 2.0, edges.size) if weighted else None
+        yield PositiveCone(edges.size), HilbertPoint(edges, weights)
+        for _ in range(20):
+            x = HilbertPoint(rng.choice(edges, 5), rng.uniform(0.5, 2.0, 5) if weighted else None)
+            yield PositiveCone(5), x
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    for weights in (None, rng.uniform(0.5, 2.0, 4)):
+        wn = np.ones(4) if weights is None else weights
+        gens = [HilbertPoint(q[:, j] / np.sqrt(wn), weights) for j in range(4)]
+        for span in (SubspaceSpan((), 4), SubspaceSpan(tuple(gens[:2])), SubspaceSpan(tuple(gens))):
+            for lam in (1e-12, 1.0, 1e12):
+                yield span, HilbertPoint(lam * rng.uniform(-2.0, 2.0, 4), weights)
+
+
+def test_distance_equals_the_two_array_norm_bit_for_bit():
+    n = 0
+    with np.errstate(over="ignore"):
+        for s, x in _distance_cases():
+            want = _outcome(_two_array_distance, s, x)
+            assert _outcome(distance, s, x) == want
+            # the CLI's gap on the projection it already holds
+            assert _outcome(lambda: _gap(x, project(s, x))) == want
+            n += 1
+    assert n >= 300
+
+
+def test_bochner_distance_keeps_its_bits_in_both_forms():
+    sp = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        f = BochnerFunction(sp, [HilbertPoint(rng.uniform(-2.0, 2.0, 3)) for _ in range(3)])
+        for s in (BochnerPointwiseCone(sp), BochnerConstantSubspace(sp)):
+            assert distance(s, f).hex() == bochner_distance(f, project(s, f)).hex()
+            p = flatten(f)
+            assert distance(s, p).hex() == _two_array_distance(s, p).hex()
+
+
+def test_distance_overflow():
+    with np.errstate(over="ignore"):
+        # x - c overflows: the same error as project
+        ball = ClosedBall(HilbertPoint([-1e308, 0.0]), 1.0)
+        x = HilbertPoint([1e308, 0.0])
+        for f in (distance, project, _two_array_distance):
+            with pytest.raises(ValueError, match="coeffs must be finite"):
+                f(ball, x)
+        # a finite x - c whose norm overflows: P(x) = c, and the gap is inf
+        ball = ClosedBall(HilbertPoint([0.0, 1.0]), 1.0)
+        x = HilbertPoint([1e200, -1e200])
+        assert distance(ball, x) == _two_array_distance(ball, x) == np.inf
+        x = HilbertPoint([-1e200, 1.0, -1e200])
+        assert distance(PositiveCone(3), x) == _two_array_distance(PositiveCone(3), x) == np.inf
+
+
+def test_lazy_finiteness_scans_only_a_non_finite_norm():
+    with np.errstate(over="ignore"):
+        a = np.array([1e200, -1e200])
+        assert _finite_norm(None, a) == np.inf
+        assert a.flags.writeable
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="coeffs must be finite"):
+                _finite_norm(np.array([1.0, 2.0]), np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("name", ["ball_outside", "cone"])
+def test_one_distance_allocates_one_array(name):
+    s, x = _cases()[name]
+    distance(s, x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        distance(s, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # forming P(x) and then x - P(x) as a second array peaks at 2.13 x 8d bytes
+    assert peak <= 1.25 * 8 * D
+
+
+@pytest.mark.parametrize("name", ["ball_outside", "ball_inside", "ball_sphere_band", "cone"])
+def test_distance_leaves_its_input_untouched(name):
+    s, x = _cases()[name]
+    before = x.coeffs.copy()
+    centre = s.center.coeffs.copy() if isinstance(s, ClosedBall) else None
+    assert distance(s, x).hex() == _two_array_distance(s, x).hex()
+    assert np.array_equal(_bits(x.coeffs), _bits(before))
+    assert not x.coeffs.flags.writeable
+    if centre is not None:
+        assert np.array_equal(_bits(s.center.coeffs), _bits(centre))

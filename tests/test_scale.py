@@ -233,3 +233,27 @@ def test_sampled_variational_verdicts_scale(lam):
     near = HilbertPoint(lam * np.array([1.14, 1.02, 0.0]))
     assert in_inverse_image(ball, y, near, tol=0.5)
     assert not in_inverse_image(ball, y, near, sample_budget=200, tol=0.5)
+
+
+def _tangent_pairs(n):
+    """n sphere points in R^3 with a direction orthogonal to x - c, unit-sized."""
+    rng = np.random.default_rng(15)
+    for _ in range(n):
+        c, r = rng.uniform(-1.0, 1.0, 3), float(rng.uniform(0.5, 2.0))
+        u = rng.standard_normal(3)
+        d = r * u / np.linalg.norm(u)
+        g = rng.standard_normal(3)
+        v = g - (g @ d) / (d @ d) * d
+        yield ClosedBall(HilbertPoint(c), r), HilbertPoint(c + d), v / np.linalg.norm(v)
+
+
+def test_tangent_direction_tag_does_not_depend_on_its_scale():
+    # <x - c, v> of a tangent v is rounding noise, within tol r ||v|| of 0: a tie is Up
+    for ball, x, v in _tangent_pairs(200):
+        tags, classes = set(), set()
+        for mu in 10.0 ** np.arange(-12, 13, 3):
+            w = HilbertPoint(mu * v)
+            tags.add(derivative(ball, x, w).case_tag)
+            classes.add(classify_direction(ball, x, w))
+        assert tags == {"Thm4.1(iii)(a)"}
+        assert classes == {DirectionClass.UP}
