@@ -18,16 +18,21 @@ Points are validated at the boundary: the constructor and
 data is checked and shared, so the points of one weighting compare it by
 identity. Arithmetic on checked points builds its fresh result with
 ``_trusted``: the operand's weights object shared, only the finiteness check
-kept, so an overflow still raises. Every batch of new points
+kept, so an overflow still raises. ``_proven`` drops that check too, for a
+fresh array whose finiteness follows from its finite inputs (the clip of a
+checked point, a ball's pull-back of a finite x - c). Every batch of new points
 (``_points_from_rows``, each set's batch projection, a function's per-atom
 values) comes from one row loop, ``_trusted_rows``, which wraps the rows of a
 checked array with one weighting per row. The oracles call ``_dot`` and
 ``_norm``, the kernels of ``inner`` and ``norm``, on raw coefficients.
+``_scratch(n)`` lends a per-thread work array for a residual that is reduced
+to a number and never returned, such as the x - P(x) of ``distance``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -168,6 +173,16 @@ def _trusted(coeffs: np.ndarray, weights) -> HilbertPoint:
     return p
 
 
+def _proven(coeffs: np.ndarray, weights) -> HilbertPoint:
+    """_trusted without the finiteness scan: only for a fresh array that is
+    finite by construction, computed from checked points by steps that cannot
+    overflow. It is made read-only and carries the weights object given."""
+    coeffs.setflags(write=False)
+    p = object.__new__(HilbertPoint)
+    p.__dict__.update(coeffs=coeffs, weights=weights)
+    return p
+
+
 def zeros_like(x: HilbertPoint) -> HilbertPoint:
     return _trusted(np.zeros(x.dim), x.weights)
 
@@ -223,6 +238,24 @@ def _finite_norm(w, a: np.ndarray) -> float:
     if not math.isfinite(n) and not np.isfinite(a).all():
         raise ValueError("coeffs must be finite")
     return n
+
+
+_work = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """A length-n float64 work array of the calling thread, with stale contents.
+
+    A view at offset 0 of one buffer per thread, grown to the largest n the
+    thread has asked for and kept for the thread's lifetime, so a large
+    residual faults in no fresh pages. Thread-local because numpy releases
+    the GIL inside ufuncs and dot. The view must not outlive the caller's
+    computation: the next call in the thread hands out the same memory.
+    """
+    buf = getattr(_work, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _work.buf = np.empty(n)
+    return buf[:n]
 
 
 def modulus_convexity(eps: float) -> float:

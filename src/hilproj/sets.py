@@ -12,10 +12,12 @@ variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's
 test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1 with margins
 relative to the radius. The public functions (:func:`project`,
 :func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate
-to them. A single projection or distance forms one new array: the ball
+to them. A single projection or distance forms one array: the ball
 scales and shifts x - c in place into P(x), and a distance subtracts that
 from x in place; the cone clips, and a distance takes min(x, 0), x - P(x)
 up to signs of zero; the span takes one product, and subtracts x from it.
+A ball or cone distance forms it in the thread's work array
+(``core._scratch``) rather than a new one.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
@@ -62,6 +64,8 @@ from .core import (
     _finite_norm,
     _norm,
     _points_from_rows,
+    _proven,
+    _scratch,
     _trusted,
     _trusted_rows,
     inner,
@@ -283,22 +287,23 @@ class ClosedBall:
 
     def _project(self, x):
         # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
-        # in place; s*diff + c rounds as c + s*diff does
+        # in place; s*diff + c rounds as c + s*diff does. A finite d proves x - c
+        # finite. No scan of the result: outside the band s = r/d < 1, so each
+        # c_i + s*diff_i lies between c_i and c_i + diff_i (about x_i) and rounds
+        # finite; at d = inf, s = 0 and the result is c.
         self._check(x)
         c = self.center
         diff = x.coeffs - c.coeffs
-        if not np.isfinite(diff).all():
-            raise ValueError("coeffs must be finite")
-        d = _norm(x.weights, diff)
+        d = _finite_norm(x.weights, diff)
         if self._place(d, _SPHERE_BAND) <= 0:
             return x
         diff *= self.radius / d
         diff += c.coeffs
-        return _trusted(diff, c.weights)
+        return _proven(diff, c.weights)
 
     def _distance(self, x) -> float:
         self._check(x)
-        diff = x.coeffs - self.center.coeffs
+        diff = np.subtract(x.coeffs, self.center.coeffs, out=_scratch(x.dim))
         d = _finite_norm(x.weights, diff)
         if self._place(d, _SPHERE_BAND) <= 0:
             return 0.0
@@ -386,10 +391,12 @@ class PositiveCone:
         object.__setattr__(self, "dim", d)
 
     def _project(self, x):
-        return _trusted(clip_nonnegative(_check_point(self, x).coeffs), x.weights)
+        # the clip of a checked point is finite
+        return _proven(clip_nonnegative(_check_point(self, x).coeffs), x.weights)
 
     def _distance(self, x) -> float:
-        return _finite_norm(_check_point(self, x).weights, np.minimum(x.coeffs, 0.0))
+        _check_point(self, x)
+        return _finite_norm(x.weights, np.minimum(x.coeffs, 0.0, out=_scratch(x.dim)))
 
     def _project_rows(self, xs) -> list:
         _check_each(xs, lambda x: _check_point(self, x))
@@ -794,14 +801,16 @@ def project(s, x):
 
 
 def _gap(x, u) -> float:
-    """||x - u||, for x and its projection u in the same form; flat points in one array."""
+    """||x - u||, for x and its projection u in the same form; flat points in the work array."""
     if isinstance(x, bo.BochnerFunction):
         return bo.bochner_distance(x, u)
-    return 0.0 if u is x else _finite_norm(x.weights, x.coeffs - u.coeffs)
+    if u is x:
+        return 0.0
+    return _finite_norm(x.weights, np.subtract(x.coeffs, u.coeffs, out=_scratch(x.dim)))
 
 
 def distance(s, x) -> float:
-    """d(x, C) = ||x - P_C(x)||, as norm(x - project(s, x)) rounds it, in one new array."""
+    """d(x, C) = ||x - P_C(x)||, as norm(x - project(s, x)) rounds it, in one array."""
     return s._distance(x)
 
 

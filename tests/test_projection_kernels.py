@@ -9,10 +9,16 @@ come back untouched. An overflowing x - c is pinned by
 ``test_projection.py::test_project_sequence_overflow_raises_value_error``.
 
 ``distance`` forms ||x - P(x)|| in one array as well; its bits and errors
-are pinned to the two-array ``norm(x - project(s, x))``.
+are pinned to the two-array ``norm(x - project(s, x))``. On the ball and the
+cone that array is the calling thread's reused work array, ``core._scratch``,
+so a second call allocates nothing of size d; the ball's and the cone's
+``project`` no longer scan for finiteness, which an edge-value sweep pins.
 """
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,7 +39,7 @@ from hilproj import (
     project,
     project_sequence,
 )
-from hilproj.core import _finite_norm
+from hilproj.core import _finite_norm, _scratch
 from hilproj.sets import _gap, clip_nonnegative
 
 D = 100_000
@@ -249,3 +255,119 @@ def test_distance_leaves_its_input_untouched(name):
     assert not x.coeffs.flags.writeable
     if centre is not None:
         assert np.array_equal(_bits(s.center.coeffs), _bits(centre))
+
+
+def _traced_peak(f):
+    """Bytes f() holds at its peak, above what was held before it, in tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["ball_outside", "cone"])
+def test_a_second_distance_reuses_the_work_array(name):
+    s, x = _cases()[name]
+    distance(s, x)
+    assert _traced_peak(lambda: distance(s, x)) < 0.05 * 8 * D
+
+
+@pytest.mark.parametrize("name", ["ball_outside", "cone"])
+def test_a_second_projection_allocates_only_its_result(name):
+    s, x = _cases()[name]
+    project(s, x)
+    # 8d bytes of result and no d-byte finiteness mask
+    assert _traced_peak(lambda: project(s, x)) <= 1.02 * 8 * D
+
+
+def test_the_work_array_is_one_buffer_per_thread():
+    a, b = _scratch(10), _scratch(5)
+    assert a.dtype == np.float64 and b.shape == (5,)
+    assert np.shares_memory(a, b)
+    with ThreadPoolExecutor(1) as pool:
+        other = pool.submit(_scratch, 10).result()
+    assert not np.shares_memory(a, other)
+    s, x = _cases()["cone"]
+    p = project(s, x)
+    distance(s, x)
+    assert not np.shares_memory(p.coeffs, _scratch(D))
+
+
+def test_distance_in_threads_matches_one_thread():
+    rng = np.random.default_rng(29)
+    w = rng.uniform(0.5, 2.0, 7)
+    jobs = [_cases()["ball_outside"], _cases()["cone"],
+            (ClosedBall(HilbertPoint(rng.uniform(-1.0, 1.0, 7), w), 0.5),
+             HilbertPoint(rng.uniform(-3.0, 3.0, 7), w))]
+    want = [distance(s, x).hex() for s, x in jobs]
+    start = threading.Barrier(4, timeout=60)
+
+    def run(k):
+        start.wait()
+        got = []
+        for i in range(50):
+            for j in range(3):
+                n = (i + j + k) % 3  # each thread cycles through the sets from its own offset
+                got.append((n, distance(*jobs[n]).hex()))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [f.result(timeout=60) for f in [pool.submit(run, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in runs:
+        assert len(got) == 150
+        assert all(h == want[n] for n, h in got)
+
+
+def _ball_reference(ball, x):
+    """c + (r/d)(x - c) out of place, x itself inside the 1e-12 r band."""
+    c, r = ball.center, ball.radius
+    diff = x.coeffs - c.coeffs
+    if not np.isfinite(diff).all():
+        raise ValueError("coeffs must be finite")
+    d = norm(HilbertPoint(diff, x.weights))
+    return x.coeffs if d <= r + 1e-12 * r else c.coeffs + (r / d) * diff
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1.0, 1e300])
+def test_projections_without_scans_on_edge_values(radius):
+    rng = np.random.default_rng(31)
+    values = _edge_values(rng)
+    seen = {"raised": 0, "inside": 0, "outside": 0, "norm overflows": 0}
+    with np.errstate(over="ignore"):
+        for weighted in (False, True):
+            w = rng.uniform(0.5, 2.0, 4) if weighted else None
+            for _ in range(300):
+                c = rng.choice(values, 4)
+                # x redraws every coordinate of c, or some of them (so some x lie inside)
+                redraw = rng.random(4) < rng.choice([0.5, 1.0])
+                x = HilbertPoint(np.where(redraw, rng.choice(values, 4), c), w)
+                ball = ClosedBall(HilbertPoint(c, w), radius)
+                if not np.isfinite(x.coeffs - ball.center.coeffs).all():
+                    seen["raised"] += 1
+                    for f in (project, distance):
+                        with pytest.raises(ValueError, match="^coeffs must be finite$"):
+                            f(ball, x)
+                    continue
+                want = _ball_reference(ball, x)
+                p = project(ball, x)
+                assert np.isfinite(p.coeffs).all()
+                assert np.array_equal(_bits(p.coeffs), _bits(want))
+                assert distance(ball, x).hex() == _two_array_distance(ball, x).hex()
+                if p is x:
+                    seen["inside"] += 1
+                else:
+                    seen["outside"] += 1
+                    seen["norm overflows"] += norm(x - ball.center) == np.inf
+                cone = PositiveCone(4)
+                assert np.isfinite(project(cone, x).coeffs).all()
+                assert distance(cone, x).hex() == _two_array_distance(cone, x).hex()
+    assert all(seen.values()), seen
