@@ -17,16 +17,16 @@ Points are validated at the boundary: the constructor and
 ``_points_from_rows`` copy and check; a read-only weights array that owns its
 data is checked and shared, so the points of one weighting compare it by
 identity. Arithmetic on checked points builds its fresh result with
-``_trusted``: the operand's weights object shared, only the finiteness check
-kept, so an overflow still raises. ``_proven`` drops that check too, for a
-fresh array whose finiteness follows from its finite inputs (the clip of a
-checked point, a ball's pull-back of a finite x - c). Every batch of new points
-(``_points_from_rows``, each set's batch projection, a function's per-atom
-values) comes from one row loop, ``_trusted_rows``, which wraps the rows of a
-checked array with one weighting per row. The oracles call ``_dot`` and
-``_norm``, the kernels of ``inner`` and ``norm``, on raw coefficients.
-``_scratch(n)`` lends a per-thread work array for a residual that is reduced
-to a number and never returned, such as the x - P(x) of ``distance``.
+``_trusted``: the weights shared, only the finiteness check kept, so an
+overflow still raises. ``_proven`` drops the check for a fresh array finite by
+construction (a clip, a ball's pull-back, zeros). The lazy rule of
+``_finite_norm``, a finite norm proves finite coordinates, covers the
+intermediates of the ball rules: they take ``_dot`` and ``_norm``, the kernels
+of ``inner`` and ``norm``, on raw arrays and scan only the value they return.
+Every batch of new points comes from one row loop, ``_trusted_rows``, which
+wraps the rows of a checked array with one weighting per row. ``_scratch(n)``
+lends a per-thread work array for a residual that is reduced to a number and
+never returned, such as the x - P(x) of ``distance``.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def _proven(coeffs: np.ndarray, weights) -> HilbertPoint:
 
 
 def zeros_like(x: HilbertPoint) -> HilbertPoint:
-    return _trusted(np.zeros(x.dim), x.weights)
+    return _proven(np.zeros(x.dim), x.weights)
 
 
 def same_weights(x: HilbertPoint, y: HilbertPoint) -> bool:

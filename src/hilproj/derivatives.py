@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bochner as bo
-from .core import DEFAULT_TOL, HilbertPoint, _check_tol, inner, norm, zeros_like
+from .core import (DEFAULT_TOL, HilbertPoint, _check_tol, _dot, _finite_norm, _trusted, inner, norm,
+                   zeros_like)
 from .errors import NotCovered, NotOnSphere, SpaceMismatch
 from .sets import BochnerConstantSubspace, ClosedBall, DirectionClass, PositiveCone, _flat_direction
 
@@ -89,40 +90,43 @@ def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                        tol: float = DEFAULT_TOL) -> DirectionClass:
     """Up or Down class of a nonzero direction at a sphere point."""
     ball, x, v = _flat_direction(ball, x, v, tol)
-    d = x - ball.center
-    if ball._place(norm(d), tol) != 0:
+    d, dist = ball._offset(x)
+    if ball._place(dist, tol) != 0:
         raise NotOnSphere("direction classes are defined at sphere points only")
-    g = inner(d, v)
+    g = _dot(x.weights, d, v.coeffs)
     return DirectionClass.DOWN if g < 0.0 and g < -tol * ball.radius * norm(v) else DirectionClass.UP
 
 
-def _parallel(v: HilbertPoint, d: HilbertPoint, g: float) -> bool:
-    """Whether v = lambda * d with lambda != 0; g = <d, v> precomputed."""
-    lam = g / inner(d, d)
-    return lam != 0.0 and norm(v - lam * d) <= _PARALLEL_TOL * norm(v)
+def _parallel(w, v: np.ndarray, d: np.ndarray, g: float, nv: float) -> bool:
+    """Whether v = lambda * d with lambda != 0, for arrays of weighting w; g = <d, v>, nv = ||v||."""
+    lam = g / _dot(w, d, d)
+    # v - lambda d is finite only if lambda d is: its lazy norm raises where either scan would
+    return lam != 0.0 and _finite_norm(w, v - lam * d) <= _PARALLEL_TOL * nv
 
 
 def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                     tol: float = DEFAULT_TOL) -> DerivativeResult:
     """Directional derivative of the ball projection; covered everywhere."""
     ball, x, v = _flat_direction(ball, x, v, tol)
-    d = x - ball.center
-    r = ball.radius
-    dist = norm(d)
-    g = inner(d, v)
+    d, dist = ball._offset(x)
+    w, r = x.weights, ball.radius
+    g = _dot(w, d, v.coeffs)
     place = ball._place(dist, tol)
-    if place == 0:
-        if g < 0.0 and g < -tol * r * norm(v):
-            return DerivativeResult(True, "Thm4.1(iii)(c)", v)
-        if g > 0.0 and _parallel(v, d, g):
-            return DerivativeResult(True, "Thm4.1(iii)(b)", zeros_like(v))
-        return DerivativeResult(True, "Thm4.1(iii)(a)", v - (g / (r * r)) * d)
     if place < 0:
         return DerivativeResult(True, "Thm4.1(i)(a)", v)
-    if g > 0.0 and _parallel(v, d, g):
-        return DerivativeResult(True, "Thm4.1(ii)(b)", zeros_like(v))
-    value = (r / dist**3) * (dist * dist * v - g * d)
-    return DerivativeResult(True, "Thm4.1(ii)(a)", value)
+    nv = norm(v)
+    if place == 0 and g < 0.0 and g < -tol * r * nv:
+        return DerivativeResult(True, "Thm4.1(iii)(c)", v)
+    if g > 0.0 and _parallel(w, v.coeffs, d, g, nv):
+        return DerivativeResult(True, "Thm4.1(iii)(b)" if place == 0 else "Thm4.1(ii)(b)", zeros_like(v))
+    if place == 0:
+        value = v.coeffs - (g / (r * r)) * d
+        return DerivativeResult(True, "Thm4.1(iii)(a)", _trusted(value, v.weights))
+    try:
+        value = (r / dist**3) * (dist * dist * v.coeffs - g * d)
+    except OverflowError:  # dist^3 overflows for 5.6e102 < dist; dist^2 is finite up to 1.3e154
+        value = (r / dist) * (v.coeffs - (g / dist) * (d / dist))
+    return DerivativeResult(True, "Thm4.1(ii)(a)", _trusted(value, v.weights))
 
 
 def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
@@ -208,8 +212,8 @@ def _generic_facts(s, x, v, tol: float) -> DerivativeResult:
         if s._segment_direction(x, v, tol):
             return DerivativeResult(True, "Lem3.1", v)
         return _not_covered()
-    w = x - s._project(x)
-    if _parallel(v, w, inner(v, w)):
+    w = x.coeffs - s._project(x).coeffs
+    if _parallel(x.weights, v.coeffs, w, _dot(x.weights, v.coeffs, w), norm(v)):
         return DerivativeResult(True, "Prop3.1", zeros_like(v))
     if s._inverse_image_interior(x, tol):
         return DerivativeResult(True, "Prop3.2", zeros_like(v))

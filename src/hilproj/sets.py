@@ -48,6 +48,7 @@ per point; a ball's centre and a span's generators check their weighting.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -285,26 +286,26 @@ class ClosedBall:
         if getattr(x, "dim", None) != self.center.dim or not same_weights(x, self.center):
             _check_compatible(_check_point(self, x), self.center)
 
+    def _offset(self, x, out=None) -> tuple:
+        """(x - c, ||x - c||) after _check(x), in out if given: a finite norm proves x - c finite."""
+        self._check(x)
+        diff = np.subtract(x.coeffs, self.center.coeffs, out=out)
+        return diff, _finite_norm(x.weights, diff)
+
     def _project(self, x):
         # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
-        # in place; s*diff + c rounds as c + s*diff does. A finite d proves x - c
-        # finite. No scan of the result: outside the band s = r/d < 1, so each
-        # c_i + s*diff_i lies between c_i and c_i + diff_i (about x_i) and rounds
-        # finite; at d = inf, s = 0 and the result is c.
-        self._check(x)
-        c = self.center
-        diff = x.coeffs - c.coeffs
-        d = _finite_norm(x.weights, diff)
+        # in place; s*diff + c rounds as c + s*diff does. No scan of the result:
+        # outside the band s = r/d < 1, so each c_i + s*diff_i lies between c_i
+        # and c_i + diff_i (about x_i) and rounds finite; at d = inf it is c.
+        diff, d = self._offset(x)
         if self._place(d, _SPHERE_BAND) <= 0:
             return x
         diff *= self.radius / d
-        diff += c.coeffs
-        return _proven(diff, c.weights)
+        diff += self.center.coeffs
+        return _proven(diff, self.center.weights)
 
     def _distance(self, x) -> float:
-        self._check(x)
-        diff = np.subtract(x.coeffs, self.center.coeffs, out=_scratch(x.dim))
-        d = _finite_norm(x.weights, diff)
+        diff, d = self._offset(x, _scratch(x.dim))
         if self._place(d, _SPHERE_BAND) <= 0:
             return 0.0
         diff *= self.radius / d
@@ -329,17 +330,23 @@ class ClosedBall:
         return out
 
     def _contains(self, x, tol: float) -> bool:
-        return self._place(norm(x - self.center), tol) <= 0
+        return self._place(self._offset(x)[1], tol) <= 0
 
     def _interior(self, x, tol: float) -> bool:
-        return self._place(norm(x - self.center), tol) < 0
+        return self._place(self._offset(x)[1], tol) < 0
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c)
-        d = y - self.center
-        w = x - y
-        t = 0.0 if self._place(norm(d), tol) < 0 else inner(w, d) / (self.radius * self.radius)
-        return t >= -tol and norm(w - t * d) <= tol * self.radius
+        d, dist = self._offset(y)
+        w, r = x.coeffs - y.coeffs, self.radius
+        t = 0.0
+        if self._place(dist, tol) >= 0:
+            g = _dot(x.weights, w, d)
+            if not math.isfinite(g):  # only then can w = x - y be non-finite: raise as a point would
+                _finite_norm(x.weights, w)
+            t = g / (r * r)
+        # w - t d is finite only if w and t d are, so its lazy norm stands for their scans
+        return t >= -tol and _finite_norm(x.weights, w - t * d) <= tol * r
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
         # the inverse images are rays, with interior only in dimension one,
@@ -403,30 +410,29 @@ class PositiveCone:
         return _trusted_rows(_finite(clip_nonnegative(_stack(xs))), (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
-        return bool(np.all(x.coeffs >= -tol))
+        return bool(x.coeffs.min() >= -tol)
 
     def _dual_contains(self, x, tol: float) -> bool:
         """Every coordinate at most tol: membership in the dual cone."""
-        return bool(np.all(x.coeffs <= tol))
+        return bool(x.coeffs.max() <= tol)
 
     def _interior(self, x, tol: float) -> bool:
-        return bool(np.all(x.coeffs > tol))
+        return bool(x.coeffs.min() > tol)
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         """x agrees with y where y > tol and is at most tol everywhere else."""
         positive = y.coeffs > tol
-        if np.any(np.abs(x.coeffs[positive] - y.coeffs[positive]) > tol):
-            return False
-        return not np.any(x.coeffs[~positive] > tol)
+        return not ((np.abs(x.coeffs[positive] - y.coeffs[positive]) > tol).any()
+                    or (x.coeffs[~positive] > tol).any())
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
-        return bool(np.all(x.coeffs < -tol))
+        return bool(x.coeffs.max() < -tol)
 
     def _segment_direction(self, x, v, tol: float) -> bool:
         """Whether v vanishes, relative to its size, on the zero face of x."""
         face = x.coeffs <= tol
-        scale = max(1.0, float(np.max(np.abs(v.coeffs))))
-        return bool(np.all(np.abs(v.coeffs[face]) <= tol * scale))
+        scale = max(1.0, float(np.abs(v.coeffs).max()))
+        return bool((np.abs(v.coeffs[face]) <= tol * scale).all())
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         keep = rng.random((n, self.dim)) < min(1.0, 4.0 / self.dim)
@@ -753,7 +759,7 @@ def cone_inverse_check(g: bo.BochnerFunction, f: bo.BochnerFunction,
     cone, fg, ff = _flat_form(BochnerPointwiseCone(g.space), g, f)
     if not cone._contains(fg, tol):
         raise NotInCone("g must lie in the pointwise positive cone")
-    return bool(np.any(np.abs(ff.coeffs - fg.coeffs) > tol)) and cone._inverse_member(fg, ff, tol)
+    return bool((np.abs(ff.coeffs - fg.coeffs) > tol).any()) and cone._inverse_member(fg, ff, tol)
 
 
 def is_bochner_set(s) -> bool:
@@ -876,7 +882,7 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:
     """Point y + t(y - c) of the inverse-image ray at a sphere point y."""
     ball, y = _flat_form(ball, y)
-    if ball._place(norm(y - ball.center), DEFAULT_TOL) != 0:
+    if ball._place(ball._offset(y)[1], DEFAULT_TOL) != 0:
         raise NotOnSphere("ray vertex must lie on the sphere")
     t = float(t)
     if t < 0.0:

@@ -159,6 +159,34 @@ def test_the_centre_and_the_generators_keep_their_own_check():
             contains(s, weighted)
 
 
+def test_every_ball_rule_checks_the_centres_weighting():
+    # the rules read x - c as one array; the centre's weighting is still compared
+    cases = (
+        (ClosedBall(pt(0.0, 0.0), 1.0), (1.0, 2.0)),
+        (ClosedBall(pt(0.0, 0.0, weights=(1.0, 2.0)), 1.0), None),
+    )
+    text = "^points carry different inner-product weights$"
+    for ball, w in cases:
+        inside, sphere, outside = pt(0.1, 0.0, weights=w), pt(1.0, 0.0, weights=w), pt(3.0, 0.0, weights=w)
+        # Thm 4.1 (i), (iii)(a)-(c) and (ii)(a)-(b)
+        calls = [(derivative, ball, inside, pt(0.0, 1.0, weights=w))]
+        calls += [(derivative, ball, sphere, pt(*v, weights=w)) for v in ((0.0, 1.0), (1.0, 0.0), (-1.0, 0.0))]
+        calls += [(derivative, ball, outside, pt(*v, weights=w)) for v in ((0.0, 1.0), (1.0, 0.0))]
+        calls += [
+            (classify_direction, ball, sphere, pt(0.0, 1.0, weights=w)),
+            (classify_point, ball, inside),
+            (classify_point, ball, sphere),
+            (contains, ball, inside),
+            (contains, ball, outside),
+            (in_inverse_image, ball, sphere, pt(2.0, 0.0, weights=w)),
+            (in_inverse_image, ball, inside, inside),
+            (ball_inverse_ray, ball, sphere, 1.0),
+        ]
+        for f, *args in calls:
+            with pytest.raises(WeightMismatch, match=text):
+                f(*args)
+
+
 def test_no_second_dimension_check_is_left():
     assert not hasattr(hilproj.sets, "_check_dim")
 
