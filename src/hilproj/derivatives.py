@@ -99,7 +99,11 @@ def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
 
 def _parallel(w, v: np.ndarray, d: np.ndarray, g: float, nv: float) -> bool:
     """Whether v = lambda * d with lambda != 0, for arrays of weighting w; g = <d, v>, nv = ||v||."""
-    lam = g / _dot(w, d, d)
+    dd = _dot(w, d, d)
+    if dd == 0.0:  # <d, d> underflowed: the same test on d scaled to max |d_i| = 1
+        d = d / np.abs(d).max()
+        return _parallel(w, v, d, _dot(w, d, v), nv)
+    lam = g / dd
     # v - lambda d is finite only if lambda d is: its lazy norm raises where either scan would
     return lam != 0.0 and _finite_norm(w, v - lam * d) <= _PARALLEL_TOL * nv
 
@@ -120,8 +124,8 @@ def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
     if g > 0.0 and _parallel(w, v.coeffs, d, g, nv):
         return DerivativeResult(True, "Thm4.1(iii)(b)" if place == 0 else "Thm4.1(ii)(b)", zeros_like(v))
     if place == 0:
-        value = v.coeffs - (g / (r * r)) * d
-        return DerivativeResult(True, "Thm4.1(iii)(a)", _trusted(value, v.weights))
+        t, u = (g / (r * r), d) if r * r else (_dot(w, d / r, v.coeffs), d / r)  # r*r = 0 below 1.5e-162
+        return DerivativeResult(True, "Thm4.1(iii)(a)", _trusted(v.coeffs - t * u, v.weights))
     try:
         value = (r / dist**3) * (dist * dist * v.coeffs - g * d)
     except OverflowError:  # dist^3 overflows for 5.6e102 < dist; dist^2 is finite up to 1.3e154

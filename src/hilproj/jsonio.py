@@ -2,20 +2,19 @@
 
 Floats are rendered with 17 significant digits so every IEEE-754 double
 round-trips bit-exactly through text; the stdlib dumper cannot customize
-float formatting, so serialization is a small recursive renderer. A list
-of plain Python floats, such as a point's coefficients, is rendered whole:
-one finiteness check over the list, then one join of the formatted
-numbers, with the same bytes the per-element path gives. Decoding checks
-the element types of a coefficient array in one pass as well. Decoding
-failures raise InputError with a one-line reason, also for an integer
-literal too large for a double.
+float formatting, so serialization is a small recursive renderer. It tests
+the exact type for plain floats, dicts and lists before any isinstance
+check, quotes keys and strings with the C quoter json.dumps uses, and
+formats a list of plain floats with one % over the whole list; a finite
+%.17g never holds an "n", so one scan for "n" checks finiteness. Decoding
+checks a coefficient array's element types in one pass and raises
+InputError with a one-line reason, also for an oversized integer literal.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -34,45 +33,42 @@ from .sets import (
 
 
 def _render(obj, pretty: bool, indent: int) -> str:
-    pad = "  " * (indent + 1) if pretty else ""
-    close_pad = "  " * indent if pretty else ""
-    sep = ",\n" if pretty else ","
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("cannot serialize non-finite float")
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {float}:
-            if not all(map(math.isfinite, obj)):
-                raise ValueError("cannot serialize non-finite float")
-            items = map(format, obj, repeat(".17g"))
-        else:
-            items = [_render(v, pretty, indent + 1) for v in obj]
-        if pretty:
-            return "[\n" + sep.join(pad + i for i in items) + "\n" + close_pad + "]"
-        return "[" + sep.join(items) + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            json.dumps(str(k)) + (": " if pretty else ":") + _render(v, pretty, indent + 1)
-            for k, v in obj.items()
-        ]
-        if pretty:
-            return "{\n" + sep.join(pad + i for i in items) + "\n" + close_pad + "}"
-        return "{" + sep.join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    kind = type(obj)
+    if kind is float:
+        return _finite("%.17g" % obj)
+    if kind is not dict and kind is not list:
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _finite("%.17g" % float(obj))
+        if isinstance(obj, str):
+            return _quote(obj)
+        if not isinstance(obj, (dict, list, tuple)):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        kind = dict if isinstance(obj, dict) else list
+    brackets = "{}" if kind is dict else "[]"
+    if not obj:
+        return brackets
+    pad, colon = ("  " * (indent + 1), ": ") if pretty else ("", ":")
+    sep = (",\n" if pretty else ",") + pad
+    if kind is dict:
+        body = sep.join([_quote(str(k)) + colon + _render(v, pretty, indent + 1) for k, v in obj.items()])
+    elif set(map(type, obj)) == {float}:
+        body = _finite(sep.join(["%.17g"] * len(obj)) % tuple(obj))
+    else:
+        body = sep.join([_render(v, pretty, indent + 1) for v in obj])
+    return brackets[0] + ("\n" + pad + body + "\n" + "  " * indent if pretty else body) + brackets[1]
+
+
+def _finite(text: str) -> str:
+    """Rendered %.17g numbers, or ValueError: only inf and nan spell an n."""
+    if "n" in text:
+        raise ValueError("cannot serialize non-finite float")
+    return text
 
 
 def dumps(obj, pretty: bool = False) -> str:

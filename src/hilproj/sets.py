@@ -344,7 +344,7 @@ class ClosedBall:
             g = _dot(x.weights, w, d)
             if not math.isfinite(g):  # only then can w = x - y be non-finite: raise as a point would
                 _finite_norm(x.weights, w)
-            t = g / (r * r)
+            t = g / (r * r) if r * r else _dot(x.weights, w, d / r) / r  # r*r is 0 below r = 1.5e-162
         # w - t d is finite only if w and t d are, so its lazy norm stands for their scans
         return t >= -tol and _finite_norm(x.weights, w - t * d) <= tol * r
 

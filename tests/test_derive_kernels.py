@@ -9,7 +9,9 @@ value bytes, or the same exception type and text, over an edge-value sweep.
 The cone's face tests are one ``min`` or ``max`` reduction each and are
 pinned to their mask forms. Thm 4.1(ii)(a) forms its value as
 (r/dist)(v - (g/dist)((x - c)/dist)) where dist^3 overflows, and is pinned to
-an exact rational evaluation there.
+an exact rational evaluation there. Where r*r or <d, d> underflows to 0 the
+rules rescale d, by 1/r or by 1/max |d_i|, instead of raising
+ZeroDivisionError, and the references below do the same.
 """
 
 import json
@@ -61,6 +63,9 @@ def _ref_door(v):
 
 
 def _ref_parallel(v, d, g):
+    if inner(d, d) == 0.0:  # <d, d> underflows: the same test on d scaled to max |d_i| = 1
+        d = HilbertPoint(d.coeffs / np.abs(d.coeffs).max(), d.weights)
+        g = inner(d, v)
     lam = g / inner(d, d)
     return lam != 0.0 and norm(v - lam * d) <= 1e-9 * norm(v)
 
@@ -78,6 +83,9 @@ def _ref_derivative(ball, x, v, tol):
             return "Thm4.1(iii)(c)", v
         if g > 0.0 and _ref_parallel(v, d, g):
             return "Thm4.1(iii)(b)", HilbertPoint(np.zeros(x.dim), v.weights)
+        if r * r == 0.0:  # v - <u, v> u with u = (x - c)/r
+            u = HilbertPoint(d.coeffs / r, d.weights)
+            return "Thm4.1(iii)(a)", v - inner(u, v) * u
         return "Thm4.1(iii)(a)", v - (g / (r * r)) * d
     if place < 0:
         return "Thm4.1(i)(a)", v
@@ -116,7 +124,10 @@ def _ref_in_inverse_image(ball, y, x, tol):
         raise NotInSet("candidate image point must belong to the set")
     d = y - ball.center
     w = x - y
-    t = 0.0 if _place(ball, norm(d), tol) < 0 else inner(w, d) / (ball.radius * ball.radius)
+    r = ball.radius
+    t = 0.0
+    if _place(ball, norm(d), tol) >= 0:
+        t = inner(w, d) / (r * r) if r * r else inner(w, HilbertPoint(d.coeffs / r, d.weights)) / r
     return t >= -tol and norm(w - t * d) <= tol * ball.radius
 
 
