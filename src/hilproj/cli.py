@@ -44,6 +44,7 @@ from .sets import (
     in_inverse_image,
     is_bochner_set,
     project,
+    project_sequence,
 )
 
 
@@ -88,7 +89,7 @@ def _cmd_project(args):
         if not isinstance(obj, list):
             raise InputError("--batch expects a JSON array of points")
         xs = _check_each(obj, lambda entry: _decode_point_for(s, entry))
-        us = _check_each(xs, lambda x: project(s, x))
+        us = project_sequence(s, xs)
         return 0, {"projections": [jsonio.encode_value(u) for u in us],
                    "distances": [_gap(x, u) for x, u in zip(xs, us)]}
     x = _decode_point_for(s, obj)

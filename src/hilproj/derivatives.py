@@ -46,7 +46,7 @@ import numpy as np
 from . import bochner as bo
 from .core import (DEFAULT_TOL, HilbertPoint, _check_tol, _dot, _finite_norm, _trusted, inner, norm,
                    zeros_like)
-from .errors import NotCovered, NotOnSphere, SpaceMismatch
+from .errors import NotCovered, NotOnSphere
 from .sets import BochnerConstantSubspace, ClosedBall, DirectionClass, PositiveCone, _flat_direction
 
 __all__ = [
@@ -154,9 +154,7 @@ def constants_subspace_derivative(space: bo.DiscreteProbabilitySpace,
                                   f: bo.BochnerFunction,
                                   h: bo.BochnerFunction) -> DerivativeResult:
     """Derivative of the expectation projection: the map is affine in f."""
-    if not (f.space.same_space(space) and h.space.same_space(space)):
-        raise SpaceMismatch("f and h must live over the given probability space")
-    return _adapted(_clauses, BochnerConstantSubspace(space), f, h, DEFAULT_TOL)
+    return derivative(BochnerConstantSubspace(space), f, h)
 
 
 _BOCHNER_BALL_TAGS = {

@@ -167,14 +167,6 @@ def _check_each(xs, check) -> list:
     return out
 
 
-def _indices_by_key(keys) -> dict:
-    """Positions of equal keys, grouped in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def _stack(xs) -> np.ndarray:
     """The points' coefficients as the rows of one (n, d) array."""
     return np.concatenate([x.coeffs for x in xs]).reshape(len(xs), -1)
@@ -194,8 +186,7 @@ def ball_region_point(ball: ClosedBall, region: str, rng, margin: float = 0.1) -
     """
     c, r = ball.center, ball.radius
     u = rng.standard_normal(ball.dim)
-    w = np.ones(ball.dim) if c.weights is None else c.weights
-    u = u / np.sqrt(np.dot(u * w, u))
+    u = u / _norm(c.weights, u)
     direction = HilbertPoint(u, c.weights)
     if region == "interior":
         return c + (r * rng.uniform(0.0, max(0.0, 1.0 - margin / r))) * direction
@@ -344,7 +335,11 @@ class ClosedBall:
             g = _dot(x.weights, w, d)
             if not math.isfinite(g):  # only then can w = x - y be non-finite: raise as a point would
                 _finite_norm(x.weights, w)
-            t = g / (r * r) if r * r else _dot(x.weights, w, d / r) / r  # r*r is 0 below r = 1.5e-162
+            if not r * r:  # r*r is 0 below r = 1.5e-162: t d is s u for u = d / r, s = <w, u>
+                u = d / r
+                s = _dot(x.weights, w, u)
+                return s >= -tol * r and _finite_norm(x.weights, w - s * u) <= tol * r
+            t = g / (r * r)
         # w - t d is finite only if w and t d are, so its lazy norm stands for their scans
         return t >= -tol and _finite_norm(x.weights, w - t * d) <= tol * r
 
@@ -597,7 +592,7 @@ class _BochnerSet:
         """x's values as a (k, d) array, after the space or flat-weight checks."""
         if isinstance(x, bo.BochnerFunction):
             if not x.space.same_space(self.space):
-                raise DimensionMismatch("function lives over a different probability space")
+                raise SpaceMismatch("functions live over different probability spaces")
             return x.array
         return x.coeffs.reshape(self.space.n_atoms, bo._flat_point_dim(self.space, x))
 
@@ -634,8 +629,11 @@ class _BochnerSet:
         Each result is a (k, d) block of its group's array, in its element's form.
         """
         atoms = _check_each(xs, self._atoms)
+        groups: dict = {}  # element positions by per-atom dimension, in order of first appearance
+        for i, a in enumerate(atoms):
+            groups.setdefault(a.shape[1], []).append(i)
         out = [None] * len(xs)
-        for idx in _indices_by_key(a.shape[1] for a in atoms).values():
+        for idx in groups.values():
             values = _finite(self._project_atoms(np.stack([atoms[i] for i in idx])))
             for i, v in zip(idx, values):
                 out[i] = self._like(xs[i], v)
@@ -672,16 +670,9 @@ class BochnerPointwiseCone(_BochnerSet):
         return z, bo.flat_weights(self.space, d)
 
     def _sample_pair(self, rng, covered: bool) -> tuple:
-        if not covered:
-            return super()._sample_pair(rng, covered)
-        # boundary with v >= 0 (Thm 5.1(i)), dual with v <= 0 (ii) or interior (iii)
-        n, w = self.space.n_atoms * 3, bo.flat_weights(self.space, 3)
-        mode = int(rng.integers(3))
-        low, sign = ((0.0, 1.0), (0.0, -1.0), (0.05, 1.0))[mode]
-        x = HilbertPoint(sign * rng.uniform(low, 2.0, size=n), w)
-        if mode == 2:
-            return x, random_point(rng, n, w)
-        return x, HilbertPoint(sign * rng.uniform(0.0, 2.0, size=n), w)
+        """The cone's own pairs on the k*3 flat coordinates, carrying the flat weights."""
+        w = bo.flat_weights(self.space, 3)
+        return tuple(_trusted(p.coeffs, w) for p in self._flat_set(3)._sample_pair(rng, covered))
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,9 +711,7 @@ class BochnerConstantSubspace(_BochnerSet):
     def _inverse_image_interior(self, x, tol: float) -> bool:
         return False
 
-    def _segment_direction(self, x, v, tol: float) -> bool:
-        """Whether v is constant, relative to its size."""
-        return self._contains(v, tol * max(1.0, norm(v)))
+    _segment_direction = SubspaceSpan._segment_direction  # whether v is constant
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         d = self._sample_dim(anchors)
@@ -755,7 +744,6 @@ def cone_inverse_check(g: bo.BochnerFunction, f: bo.BochnerFunction,
     rule; f = g itself is excluded by contract.
     """
     _check_tol(tol)
-    bo.check_same(g, f)
     cone, fg, ff = _flat_form(BochnerPointwiseCone(g.space), g, f)
     if not cone._contains(fg, tol):
         raise NotInCone("g must lie in the pointwise positive cone")

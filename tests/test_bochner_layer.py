@@ -19,7 +19,6 @@ import hilproj.sets
 from hilproj import (
     BochnerFunction,
     BochnerPointwiseCone,
-    DimensionMismatch,
     DiscreteProbabilitySpace,
     HilbertPoint,
     SpaceMismatch,
@@ -107,6 +106,5 @@ def test_other_spaces_still_raise(other):
     assert not sp.same_space(other)
     with pytest.raises(SpaceMismatch, match="^functions live over different probability spaces$"):
         bochner_inner(f, g)
-    with pytest.raises(DimensionMismatch,
-                       match="^function lives over a different probability space$"):
+    with pytest.raises(SpaceMismatch, match="^functions live over different probability spaces$"):
         project(BochnerPointwiseCone(sp), g)

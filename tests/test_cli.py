@@ -42,20 +42,28 @@ def test_project_batch(capsys):
 
 
 def test_project_batch_projects_each_point_once(capsys, monkeypatch):
-    calls = []
+    calls, batches = [], []
     real = hilproj.cli.project
+    real_sequence = hilproj.cli.project_sequence
 
     def counting(s, x):
         calls.append(x)
         return real(s, x)
 
+    def counting_sequence(s, xs):
+        batches.append(xs)
+        return real_sequence(s, xs)
+
     # distance() would reach sets.project; count calls from either module
     monkeypatch.setattr(hilproj.cli, "project", counting)
     monkeypatch.setattr(hilproj.sets, "project", counting)
+    # the batch goes through the library's batch kernel, once, and never through project
+    monkeypatch.setattr(hilproj.cli, "project_sequence", counting_sequence)
     points = json.dumps([{"coeffs": [0.5 * i, 1.0 - 0.25 * i]} for i in range(10)])
     code, out, _ = run_cli(capsys, "project", "--set", UNIT_BALL, "--batch", "--point", points)
     assert code == 0
-    assert len(calls) == 10
+    assert [len(xs) for xs in batches] == [10]
+    assert len(calls) == 0
     assert len(json.loads(out)["distances"]) == 10
     calls.clear()
     code, out, _ = run_cli(capsys, "project", "--set", UNIT_BALL, "--point", '{"coeffs":[2,0]}')

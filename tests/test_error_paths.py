@@ -103,7 +103,7 @@ def test_cone_derivative_needs_the_cone_dimension():
 def test_constants_derivative_needs_the_given_space():
     other = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.5, 0.3, 0.2]))
     f = _function(_space(), 2)
-    with _raises(SpaceMismatch, "f and h must live over the given probability space"):
+    with _raises(SpaceMismatch, "functions live over different probability spaces"):
         constants_subspace_derivative(other, f, f)
 
 

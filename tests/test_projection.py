@@ -12,6 +12,7 @@ from hilproj import (
     DiscreteProbabilitySpace,
     HilbertPoint,
     PositiveCone,
+    SpaceMismatch,
     SubspaceSpan,
     contains,
     distance,
@@ -387,7 +388,7 @@ def test_project_sequence_error_types_and_indices():
         (BochnerPointwiseCone(sp), [good_flat, pt(1.0, 2.0, 3.0, 4.0)], WeightMismatch, 1),
         (BochnerConstantSubspace(sp), [good_flat, good_flat,
                                        BochnerFunction(other, (pt(1.0), pt(2.0)))],
-         DimensionMismatch, 2),
+         SpaceMismatch, 2),
     ]
     for s, xs, error, index in cases:
         with pytest.raises(error) as batch:

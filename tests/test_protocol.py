@@ -356,3 +356,19 @@ def test_covered_sample_pairs_are_covered(s):
     for _ in range(200):
         x, v = s._sample_pair(rng, True)
         assert derivative(s, x, v).covered
+
+
+def test_the_bochner_cone_draws_the_cones_pairs_on_its_flat_coordinates():
+    space = DiscreteProbabilitySpace(("a", "b", "c"), np.array([0.2, 0.3, 0.5]))
+    s, cone, w = BochnerPointwiseCone(space), PositiveCone(9), flat_weights(space, 3)
+    zeros = 0
+    for covered in (False, True):
+        for seed in range(50):
+            got = s._sample_pair(np.random.default_rng(seed), covered)
+            want = cone._sample_pair(np.random.default_rng(seed), covered)
+            for p, q in zip(got, want, strict=True):
+                assert p.coeffs.tobytes() == q.coeffs.tobytes()
+                assert p.weights is w
+            zeros += covered and bool((got[0].coeffs == 0.0).any())
+    # the cone's boundary region zeroes coordinates exactly
+    assert zeros > 0

@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hilproj import ClosedBall, HilbertPoint, PositiveCone, derivative, in_inverse_image, inner
 from hilproj.cli import main
@@ -79,3 +80,21 @@ def test_a_nonzero_radius_squared_divides_as_before():
     want = v.coeffs - (inner(x, v) / (r * r)) * d
     assert res.case_tag == "Thm4.1(iii)(a)"
     assert res.value.coeffs.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_inverse_ray_of_a_ball_whose_radius_squared_underflows_never_forms_t():
+    # t = <w, u>/r overflows at r = 1e-300; the residual w - <w, u> u does not
+    ball = ClosedBall(HilbertPoint([0.0, 0.0]), 1e-300)
+    y = HilbertPoint([1e-300, 0.0])
+    assert in_inverse_image(ball, y, HilbertPoint([1e10, 0.0]), 0, 1.0)
+    assert not in_inverse_image(ball, y, HilbertPoint([1e10, 1e10]), 0, 1.0)
+    assert not in_inverse_image(ball, y, HilbertPoint([-1e10, 0.0]), 0, 1.0)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hilproj", "inverse-check", "--tol", "1",
+         "--set", '{"type":"ball","center":{"coeffs":[0,0]},"radius":1e-300}',
+         "--member", '{"coeffs":[1e-300,0]}', "--point", '{"coeffs":[1e10,0]}'],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '{"member":true}'
