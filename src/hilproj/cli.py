@@ -265,14 +265,14 @@ def main(argv=None) -> int:
         if not (np.isfinite(args.tol) and args.tol >= 0.0):
             raise InputError(f"--tol must be finite and nonnegative, got {args.tol}")
         code, payload = args.handler(args)
+        if payload is not None:  # rendered whole before any output: a non-finite value exits 2
+            print(jsonio.dumps(payload, pretty=(args.output == "pretty")))
     except (DimensionMismatch, WeightMismatch, SpaceMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (HilprojError, ValueError) as e:  # every other library error, and bad values
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if payload is not None:
-        print(jsonio.dumps(payload, pretty=(args.output == "pretty")))
     return code
 
 

@@ -23,10 +23,11 @@ construction (a clip, a ball's pull-back, zeros). The lazy rule of
 ``_finite_norm``, a finite norm proves finite coordinates, covers the
 intermediates of the ball rules: they take ``_dot`` and ``_norm``, the kernels
 of ``inner`` and ``norm``, on raw arrays and scan only the value they return.
-Every batch of new points comes from one row loop, ``_trusted_rows``, which
-wraps the rows of a checked array with one weighting per row. ``_scratch(n)``
-lends a per-thread work array for a residual that is reduced to a number and
-never returned, such as the x - P(x) of ``distance``.
+A point holds two slots, ``coeffs`` and ``weights``, and no ``__dict__``; the
+slots' own setters are their one write path, taken by ``__post_init__``, by
+``_proven`` and by ``_trusted_rows``, the one row loop that wraps a batch.
+``_scratch(n)`` lends a per-thread work array for a residual that is reduced
+to a number and never returned, such as the x - P(x) of ``distance``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class HilbertPoint:
     """Immutable point: coefficients plus an optional coordinate weighting.
 
@@ -72,9 +73,8 @@ class HilbertPoint:
 
     def __post_init__(self):
         coeffs, weights = _checked_arrays(self.coeffs, self.weights, 1)
-        object.__setattr__(self, "coeffs", coeffs)
-        if weights is not None:
-            object.__setattr__(self, "weights", weights)
+        _set_coeffs(self, coeffs)
+        _set_weights(self, weights)
 
     @property
     def dim(self) -> int:
@@ -100,6 +100,9 @@ class HilbertPoint:
         if self.weights is None:
             return f"HilbertPoint({self.coeffs.tolist()})"
         return f"HilbertPoint({self.coeffs.tolist()}, weights={self.weights.tolist()})"
+
+
+_set_coeffs, _set_weights = HilbertPoint.coeffs.__set__, HilbertPoint.weights.__set__
 
 
 def _check_tol(tol: float):
@@ -147,13 +150,12 @@ def _trusted_rows(rows: np.ndarray, weights) -> list:
     ``weights`` gives one weighting per row (an iterable): row i carries the
     i-th weights object itself, or None.
     """
-    new = object.__new__
+    new, set_coeffs, set_weights = object.__new__, _set_coeffs, _set_weights
     out = []
     for row, w in zip(rows, weights):
         p = new(HilbertPoint)
-        fields = p.__dict__
-        fields["coeffs"] = row
-        fields["weights"] = w
+        set_coeffs(p, row)
+        set_weights(p, w)
         out.append(p)
     return out
 
@@ -168,9 +170,7 @@ def _finite(coeffs: np.ndarray) -> np.ndarray:
 
 def _trusted(coeffs: np.ndarray, weights) -> HilbertPoint:
     """A point on a fresh array computed from checked points: weights shared, no copy."""
-    p = object.__new__(HilbertPoint)
-    p.__dict__.update(coeffs=_finite(coeffs), weights=weights)
-    return p
+    return _proven(_finite(coeffs), weights)
 
 
 def _proven(coeffs: np.ndarray, weights) -> HilbertPoint:
@@ -179,7 +179,8 @@ def _proven(coeffs: np.ndarray, weights) -> HilbertPoint:
     overflow. It is made read-only and carries the weights object given."""
     coeffs.setflags(write=False)
     p = object.__new__(HilbertPoint)
-    p.__dict__.update(coeffs=coeffs, weights=weights)
+    _set_coeffs(p, coeffs)
+    _set_weights(p, weights)
     return p
 
 

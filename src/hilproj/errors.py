@@ -4,25 +4,6 @@ Every contract violation raises one of these instead of a bare ValueError,
 so callers (and the CLI) can map failures onto stable categories.
 """
 
-__all__ = [
-    "DimensionMismatch",
-    "EmptySubset",
-    "HilprojError",
-    "InputError",
-    "NoHalfMeasureSubset",
-    "NotCovered",
-    "NotInCone",
-    "NotInSet",
-    "NotOnSphere",
-    "NotUnitVector",
-    "OutOfDomain",
-    "SpaceMismatch",
-    "UnknownAtom",
-    "WeightMismatch",
-    "ZeroDirection",
-    "ZeroVertex",
-]
-
 
 class HilprojError(Exception):
     """Base class for all library errors."""
@@ -86,3 +67,7 @@ class NotCovered(HilprojError):
 
 class InputError(HilprojError):
     """Malformed external input (JSON payloads, CLI flags)."""
+
+
+__all__ = sorted(name for name, obj in globals().items()
+                 if isinstance(obj, type) and issubclass(obj, HilprojError))

@@ -45,7 +45,6 @@ from .sets import (  # random_point and cone_region_point: importable from here 
     _flat_direction,
     _flat_form,
     _min_variational_inner,
-    _stack,
     ball_region_point,
     cone_region_point,
     project,
@@ -80,7 +79,7 @@ def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     base = project(flat, xp)
     batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
     trail = flat._project_rows(batch)
-    quotients = (1.0 / _STEPS)[:, None] * (_stack(trail) - base.coeffs)
+    quotients = (1.0 / _STEPS)[:, None] * (np.array([u.coeffs for u in trail]) - base.coeffs)
     steps = list(zip(_STEPS.tolist(), _points_from_rows(quotients, base.weights)))
     residual = float(np.ptp(quotients[-3:], axis=0).max())
     converged = residual <= tol

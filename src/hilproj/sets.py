@@ -167,9 +167,18 @@ def _check_each(xs, check) -> list:
     return out
 
 
-def _stack(xs) -> np.ndarray:
-    """The points' coefficients as the rows of one (n, d) array."""
-    return np.concatenate([x.coeffs for x in xs]).reshape(len(xs), -1)
+def _gather(s, xs, check, w=...) -> np.ndarray:
+    """The batch's coefficients as one fresh (n, s.dim) array: one pass takes points of
+    that dimension that all carry the weights object w (any, for w = ...); check(x) on
+    each element of another batch raises as project does, prefixed ``element i:``, or passes."""
+    try:
+        rows = np.array([x.coeffs for x in xs if w is ... or x.weights is w])
+    except (AttributeError, ValueError):  # a non-point, or ragged dimensions
+        rows = None
+    if rows is None or rows.shape != (len(xs), s.dim):
+        _check_each(xs, check)
+        rows = np.array([x.coeffs for x in xs])
+    return rows
 
 
 def random_point(rng, dim: int, weights=None) -> HilbertPoint:
@@ -304,18 +313,24 @@ class ClosedBall:
         return _finite_norm(x.weights, np.subtract(x.coeffs, diff, out=diff))
 
     def _project_rows(self, xs) -> list:
-        _check_each(xs, self._check)
         c = self.center
-        diff = _stack(xs) - c.coeffs
+        diff = _gather(self, xs, self._check, c.weights)
+        diff -= c.coeffs
         wdiff = diff if c.weights is None else c.weights * diff
         # one np.dot per row, as norm() takes it, so the band test and the
         # radial scale agree with _project bit for bit
         dist = np.sqrt(np.maximum((wdiff[:, None, :] @ diff[:, :, None])[:, 0, 0], 0.0))
+        if not math.isfinite(dist.max()):  # a finite dist proves its row finite (_finite_norm)
+            _finite(diff)
         outside = np.flatnonzero(self._place(dist, _SPHERE_BAND) > 0)
-        # points inside the band are their own projections, as in _project;
-        # the rest share the centre's weights, which every row was checked against
+        # points inside the band are their own projections, as in _project; the
+        # rest are formed as _project forms them, so finite, and share the
+        # centre's weights, which every row was checked against
         out = list(xs)
-        rows = _finite(c.coeffs + (self.radius / dist[outside])[:, None] * diff[outside])
+        rows = diff[outside]
+        rows *= (self.radius / dist[outside])[:, None]
+        rows += c.coeffs
+        rows.setflags(write=False)
         for i, p in zip(outside, _trusted_rows(rows, repeat(c.weights))):
             out[i] = p
         return out
@@ -401,8 +416,9 @@ class PositiveCone:
         return _finite_norm(x.weights, np.minimum(x.coeffs, 0.0, out=_scratch(x.dim)))
 
     def _project_rows(self, xs) -> list:
-        _check_each(xs, lambda x: _check_point(self, x))
-        return _trusted_rows(_finite(clip_nonnegative(_stack(xs))), (x.weights for x in xs))
+        rows = clip_nonnegative(_gather(self, xs, lambda x: _check_point(self, x)))
+        rows.setflags(write=False)  # the clip of checked points is finite
+        return _trusted_rows(rows, (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
         return bool(x.coeffs.min() >= -tol)
@@ -614,8 +630,7 @@ class _BochnerSet:
         """
         if isinstance(x, bo.BochnerFunction):
             return bo._function(self.space, atoms)
-        (p,) = _trusted_rows([atoms.reshape(-1)], [bo.flat_weights(self.space, atoms.shape[1])])
-        return p
+        return _proven(atoms.reshape(-1), bo.flat_weights(self.space, atoms.shape[1]))
 
     def _project(self, x):
         return self._like(x, _finite(self._project_atoms(self._atoms(x))))
@@ -811,13 +826,13 @@ def distance(s, x) -> float:
 def project_sequence(s, xs) -> list:
     """Projection of every element; failures carry the offending index.
 
-    Each element is first checked as :func:`project` checks it, with the
-    same exception type and message prefixed by ``element i:``. The batch is
-    then stacked and projected as one array, and the result equals
-    element-wise :func:`project` bit for bit on every set. Points in the
-    result are read-only rows of that array; Bochner results mirror each
-    element's form. A span projects point by point, with :func:`project`
-    itself: a stacked product rounds differently.
+    A ball or cone takes points of its dimension (on a ball, carrying the
+    centre's weights object) in one pass; other batches are checked as
+    :func:`project` checks each element, raising its exception type and
+    message prefixed ``element i:``. The result equals element-wise
+    :func:`project` bit for bit on every set; its points are read-only rows of
+    one array, and Bochner results mirror each element's form. A span
+    projects point by point: a stacked product rounds differently.
     """
     xs = list(xs)
     return s._project_rows(xs) if xs else []

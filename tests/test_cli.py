@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 import hilproj.cli
 import hilproj.sets
 from hilproj.cli import main
@@ -431,3 +433,25 @@ def test_project_batch_needs_an_array(capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "--batch" in lines[0]
+
+
+NON_FINITE_DISTANCE = ("project", "--set", CONE2, "--point", '{"coeffs":[-1e200,-1e200]}')
+
+
+def test_a_payload_that_cannot_render_exits_2_with_one_error_line(capsys):
+    # finite input whose distance overflows to inf: the JSON renderer refuses it
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, *NON_FINITE_DISTANCE)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot serialize non-finite float\n"
+
+
+def test_a_payload_that_cannot_render_exits_2_from_the_module():
+    proc = subprocess.run([sys.executable, "-m", "hilproj", *NON_FINITE_DISTANCE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: cannot serialize non-finite float"]

@@ -1,5 +1,6 @@
 """Coefficient-vector model: arithmetic, inner products, scalar moduli."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,3 +251,58 @@ def test_arithmetic_mismatch_messages():
                 a + b
             with pytest.raises(WeightMismatch, match=message):
                 a - b
+
+
+def _built_every_way():
+    """Points from the constructor, from arithmetic and from a batch of rows."""
+    c, w = np.array([1.0, -2.0]), np.array([0.5, 2.0])
+    x = HilbertPoint(c, weights=w)
+    return [HilbertPoint(c), x, x + x, zeros_like(x), *_points_from_rows(np.array([c, -c]), w)]
+
+
+def test_construction_keeps_its_signature():
+    c, w = np.array([1.0, -2.0]), np.array([0.5, 2.0])
+    for p, weights in ((HilbertPoint(c), None), (HilbertPoint(c, weights=w), w),
+                       (HilbertPoint(c, w), w)):
+        assert p.coeffs.tolist() == [1.0, -2.0] and p.coeffs.dtype == np.float64
+        if weights is None:
+            assert p.weights is None
+        else:
+            assert p.weights.tolist() == [0.5, 2.0]
+    assert HilbertPoint(coeffs=[3.0]).coeffs.tolist() == [3.0]
+
+
+def test_fields_can_be_neither_assigned_nor_deleted():
+    for p in _built_every_way():
+        for field in ("coeffs", "weights"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field, np.zeros(2))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(p, field)
+        assert p.coeffs.shape == (2,)
+
+
+def test_points_are_equal_only_to_themselves():
+    x = HilbertPoint([1.0, 2.0])
+    y = HilbertPoint([1.0, 2.0])
+    assert x == x and not x != x
+    assert x != y and not x == y
+    assert (x + zeros_like(x)) != x
+
+
+def test_repr_is_unchanged():
+    assert repr(HilbertPoint([1.0, -2.5])) == "HilbertPoint([1.0, -2.5])"
+    weighted = HilbertPoint([1.0, -2.5], [0.5, 2.0])
+    assert repr(weighted) == "HilbertPoint([1.0, -2.5], weights=[0.5, 2.0])"
+
+
+def test_both_arrays_are_read_only():
+    for p in _built_every_way():
+        assert not p.coeffs.flags.writeable
+        assert p.weights is None or not p.weights.flags.writeable
+
+
+def test_a_point_holds_two_slots_and_no_dict():
+    for p in _built_every_way():
+        assert not hasattr(p, "__dict__")
+    assert HilbertPoint.__slots__ == ("coeffs", "weights")
