@@ -101,7 +101,10 @@ def _parallel(w, v: np.ndarray, d: np.ndarray, g: float, nv: float) -> bool:
     """Whether v = lambda * d with lambda != 0, for arrays of weighting w; g = <d, v>, nv = ||v||."""
     dd = _dot(w, d, d)
     if dd == 0.0:  # <d, d> underflowed: the same test on d scaled to max |d_i| = 1
-        d = d / np.abs(d).max()
+        m = np.abs(d).max()
+        if m == 0.0:  # no v is a nonzero multiple of d = 0
+            return False
+        d = d / m
         return _parallel(w, v, d, _dot(w, d, v), nv)
     lam = g / dd
     # v - lambda d is finite only if lambda d is: its lazy norm raises where either scan would

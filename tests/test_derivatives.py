@@ -483,3 +483,13 @@ def test_zero_direction_rejected_everywhere():
             constant_function(sp, pt(1.0, 0.0)),
             constant_function(sp, pt(0.0, 0.0)),
         )
+
+
+def test_generic_facts_at_a_zero_residual_are_uncovered():
+    # x is outside at tol = 0 but inside project's 1e-12 r identity band, so
+    # x - P(x) is exactly 0: no direction is parallel to it
+    ball = ClosedBall(pt(0.0, 0.0), 1.0)
+    x = pt(1.000000000000001, 0.0)
+    assert project(ball, x) is x
+    res = generic_facts_derivative(ball, x, pt(0.0, 1.0), 0.0)
+    assert res.case_tag == NOT_COVERED_TAG and res.value is None
