@@ -9,9 +9,10 @@ finite-difference oracle for an empirical estimate.
 
 Every derivative, :func:`classify_direction` and ``fd_derivative`` check
 ``tol`` first, then the set's form checks, then that the direction is
-nonzero, all in ``sets._flat_direction``. The form checks are the same door
-for every set: the space, per-atom dimension and weights of a Bochner
-argument, the dimension and one weighting of ball, cone or span arguments.
+nonzero, all in ``sets._flat_direction``, which hands on ||v||. The form
+checks are the same door for every set: the space, per-atom dimension and
+weights of a Bochner argument, the dimension and one weighting of ball,
+cone or span arguments.
 
 Covered cases:
 
@@ -26,15 +27,17 @@ Covered cases:
   form of x;
 * constants subspace — the projection is affine, so the derivative is the
   constant function at E(h) for every f;
-* Bochner unit ball — the ball cases under the flattening isometry, with
-  tags renamed to the vector-valued clause letters;
+* Bochner unit ball — one pass of the ball cases under the flattening
+  isometry, tags renamed to the vector-valued clause letters;
 * generic facts valid for any closed convex set — see
   :func:`generic_facts_derivative`.
 
 Direction classification at a sphere point is decided in closed form:
 expanding ||(x-c)+tv||^2 = r^2 + 2t<x-c,v> + t^2||v||^2 shows the point
 leaves the ball for all small t > 0 exactly when <x-c,v> >= 0 (class Up)
-and enters it exactly when <x-c,v> < 0 (class Down).
+and enters it exactly when <x-c,v> < 0 (class Down). The sign is read against
+one tangent band, ``ClosedBall._side`` (Down below -tol r ||v||), which also
+decides clause (iii)(c) and Prop 7.1's orthogonal sub-cases (ii)(b), (iii)(b).
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bochner as bo
-from .core import (DEFAULT_TOL, HilbertPoint, _check_tol, _dot, _finite_norm, _trusted, inner, norm,
-                   zeros_like)
+from .core import DEFAULT_TOL, HilbertPoint, _check_tol, _dot, _finite_norm, _trusted, norm, zeros_like
 from .errors import NotCovered, NotOnSphere
 from .sets import BochnerConstantSubspace, ClosedBall, DirectionClass, PositiveCone, _flat_direction
 
@@ -89,51 +91,52 @@ def _not_covered() -> DerivativeResult:
 def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
                        tol: float = DEFAULT_TOL) -> DirectionClass:
     """Up or Down class of a nonzero direction at a sphere point."""
-    ball, x, v = _flat_direction(ball, x, v, tol)
+    ball, x, v, nv = _flat_direction(ball, x, v, tol)
     d, dist = ball._offset(x)
     if ball._place(dist, tol) != 0:
         raise NotOnSphere("direction classes are defined at sphere points only")
-    g = _dot(x.weights, d, v.coeffs)
-    return DirectionClass.DOWN if g < 0.0 and g < -tol * ball.radius * norm(v) else DirectionClass.UP
+    return DirectionClass.DOWN if ball._side(_dot(x.weights, d, v.coeffs), nv, tol) < 0 else DirectionClass.UP
 
 
 def _parallel(w, v: np.ndarray, d: np.ndarray, g: float, nv: float) -> bool:
     """Whether v = lambda * d with lambda != 0, for arrays of weighting w; g = <d, v>, nv = ||v||."""
     dd = _dot(w, d, d)
     if dd == 0.0:  # <d, d> underflowed: the same test on d scaled to max |d_i| = 1
-        m = np.abs(d).max()
-        if m == 0.0:  # no v is a nonzero multiple of d = 0
-            return False
-        d = d / m
-        return _parallel(w, v, d, _dot(w, d, v), nv)
+        m = float(np.abs(d).max())  # 0 only for d = 0, of which no v is a nonzero multiple
+        return m > 0.0 and _parallel(w, v, d / m, _dot(w, d / m, v), nv)
     lam = g / dd
     # v - lambda d is finite only if lambda d is: its lazy norm raises where either scan would
     return lam != 0.0 and _finite_norm(w, v - lam * d) <= _PARALLEL_TOL * nv
 
 
-def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
-                    tol: float = DEFAULT_TOL) -> DerivativeResult:
-    """Directional derivative of the ball projection; covered everywhere."""
-    ball, x, v = _flat_direction(ball, x, v, tol)
+def _ball_clause(ball: ClosedBall, x, v, tol: float) -> tuple:
+    """(Thm 4.1 tag, value, side of <x - c, v> to the ball's tangent band), after the door."""
+    ball, x, v, nv = _flat_direction(ball, x, v, tol)
     d, dist = ball._offset(x)
     w, r = x.weights, ball.radius
     g = _dot(w, d, v.coeffs)
-    place = ball._place(dist, tol)
+    place, side = ball._place(dist, tol), ball._side(g, nv, tol)
     if place < 0:
-        return DerivativeResult(True, "Thm4.1(i)(a)", v)
-    nv = norm(v)
-    if place == 0 and g < 0.0 and g < -tol * r * nv:
-        return DerivativeResult(True, "Thm4.1(iii)(c)", v)
+        return "Thm4.1(i)(a)", v, side
+    if place == 0 and side < 0:
+        return "Thm4.1(iii)(c)", v, side
     if g > 0.0 and _parallel(w, v.coeffs, d, g, nv):
-        return DerivativeResult(True, "Thm4.1(iii)(b)" if place == 0 else "Thm4.1(ii)(b)", zeros_like(v))
+        return ("Thm4.1(iii)(b)" if place == 0 else "Thm4.1(ii)(b)"), zeros_like(v), side
     if place == 0:
         t, u = (g / (r * r), d) if r * r else (_dot(w, d / r, v.coeffs), d / r)  # r*r = 0 below 1.5e-162
-        return DerivativeResult(True, "Thm4.1(iii)(a)", _trusted(v.coeffs - t * u, v.weights))
+        return "Thm4.1(iii)(a)", _trusted(v.coeffs - t * u, v.weights), side
     try:
         value = (r / dist**3) * (dist * dist * v.coeffs - g * d)
     except OverflowError:  # dist^3 overflows for 5.6e102 < dist; dist^2 is finite up to 1.3e154
         value = (r / dist) * (v.coeffs - (g / dist) * (d / dist))
-    return DerivativeResult(True, "Thm4.1(ii)(a)", _trusted(value, v.weights))
+    return "Thm4.1(ii)(a)", _trusted(value, v.weights), side
+
+
+def ball_derivative(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
+                    tol: float = DEFAULT_TOL) -> DerivativeResult:
+    """Directional derivative of the ball projection; covered everywhere."""
+    tag, value, _ = _ball_clause(ball, x, v, tol)
+    return DerivativeResult(True, tag, value)
 
 
 def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
@@ -144,11 +147,12 @@ def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
 
 def _cone_cases(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
                 tol: float) -> DerivativeResult:
-    if cone._contains(x, tol) and cone._contains(v, tol):
+    place = cone._locate(x, tol)
+    if place <= 0 and cone._contains(v, tol):
         return DerivativeResult(True, "Thm5.1(i)", v)
     if cone._dual_contains(x, tol) and cone._dual_contains(v, tol):
         return DerivativeResult(True, "Thm5.1(ii)", zeros_like(v))
-    if cone._interior(x, tol):
+    if place < 0:
         return DerivativeResult(True, "Thm5.1(iii)", v)
     return _not_covered()
 
@@ -160,11 +164,14 @@ def constants_subspace_derivative(space: bo.DiscreteProbabilitySpace,
     return derivative(BochnerConstantSubspace(space), f, h)
 
 
+# each Thm 4.1 tag's Prop 7.1 tags: (general h, h within the tangent band of f)
 _BOCHNER_BALL_TAGS = {
-    "Thm4.1(i)(a)": "Prop7.1(i)(a)",
-    "Thm4.1(ii)(b)": "Prop7.1(ii)(c)",
-    "Thm4.1(iii)(b)": "Prop7.1(iii)(a)",
-    "Thm4.1(iii)(c)": "Prop7.1(iii)(c)",
+    "Thm4.1(i)(a)": ("Prop7.1(i)(a)",) * 2,
+    "Thm4.1(ii)(a)": ("Prop7.1(ii)(a)", "Prop7.1(ii)(b)"),
+    "Thm4.1(ii)(b)": ("Prop7.1(ii)(c)",) * 2,
+    "Thm4.1(iii)(a)": ("Prop7.1(iii)(a)", "Prop7.1(iii)(b)"),
+    "Thm4.1(iii)(b)": ("Prop7.1(iii)(a)",) * 2,
+    "Thm4.1(iii)(c)": ("Prop7.1(iii)(c)",) * 2,
 }
 
 
@@ -174,22 +181,13 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
 
     Tags follow the vector-valued clause letters: the orthogonal sub-cases
     ((ii)(b) off the ball, (iii)(b) on the sphere) refine the generic
-    formula tags when <f, h> vanishes.
+    formula tags when |<f, h>| <= tol ||h||, the tangent band of that pass.
     """
     _check_tol(tol)
     bo.check_same(f, h)
-    fp, hp = bo.flatten(f), bo.flatten(h)
-    ball = ClosedBall(HilbertPoint(np.zeros(fp.dim), fp.weights), 1.0)
-    base = ball_derivative(ball, fp, hp, tol)
-    tag = base.case_tag
-    orthogonal = abs(inner(fp, hp)) <= tol * norm(hp)
-    if tag == "Thm4.1(ii)(a)":
-        tag = "Prop7.1(ii)(b)" if orthogonal else "Prop7.1(ii)(a)"
-    elif tag == "Thm4.1(iii)(a)":
-        tag = "Prop7.1(iii)(b)" if orthogonal else "Prop7.1(iii)(a)"
-    else:
-        tag = _BOCHNER_BALL_TAGS[tag]
-    return DerivativeResult(True, tag, bo.unflatten(f.space, base.value))
+    fp = bo.flatten(f)
+    tag, value, side = _ball_clause(ClosedBall(zeros_like(fp), 1.0), fp, bo.flatten(h), tol)
+    return DerivativeResult(True, _BOCHNER_BALL_TAGS[tag][side == 0], bo.unflatten(f.space, value))
 
 
 def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
@@ -200,7 +198,7 @@ def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
     whose rules hold on them (the positive cone of the k*d coordinates for
     the pointwise cone); other sets are their own flat form.
     """
-    flat, fx, fv = _flat_direction(s, x, v, tol)
+    flat, fx, fv, _ = _flat_direction(s, x, v, tol)
     result = rule(flat, fx, fv, tol)
     if not (result.covered and isinstance(x, bo.BochnerFunction)):
         return result
@@ -211,12 +209,11 @@ def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
 def _generic_facts(s, x, v, tol: float) -> DerivativeResult:
     if getattr(s, "is_singleton", False):
         return DerivativeResult(True, "Lem3.2", zeros_like(v))
-    if s._contains(x, tol):
-        if s._interior(x, tol):
-            return DerivativeResult(True, "Prop3.3", v)
-        if s._segment_direction(x, v, tol):
-            return DerivativeResult(True, "Lem3.1", v)
-        return _not_covered()
+    place = s._locate(x, tol)
+    if place < 0:
+        return DerivativeResult(True, "Prop3.3", v)
+    if place == 0:
+        return DerivativeResult(True, "Lem3.1", v) if s._segment_direction(x, v, tol) else _not_covered()
     w = x.coeffs - s._project(x).coeffs
     if _parallel(x.weights, v.coeffs, w, _dot(x.weights, v.coeffs, w), norm(v)):
         return DerivativeResult(True, "Prop3.1", zeros_like(v))

@@ -75,7 +75,7 @@ class OracleEstimate:
 
 def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     """Difference-quotient estimate of the directional derivative at x along v."""
-    flat, xp, vp = _flat_direction(s, x, v, tol)
+    flat, xp, vp, _ = _flat_direction(s, x, v, tol)
     base = project(flat, xp)
     batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
     trail = flat._project_rows(batch)

@@ -4,24 +4,24 @@ Five set variants are supported: closed balls, the positive cone of a
 truncated orthonormal basis, spans of orthonormal generators, and the two
 Bochner constructions (pointwise positive cone, subspace of constant
 functions). Each variant is a class that owns its rules as private methods:
-projection, membership, the interior test that separates internal points
-(the projection's inverse image is the singleton {y}) from cuticle points
-(strictly larger), inverse-image membership in closed form, the facts
-behind Lem 3.1 and Prop 3.2, member sampling, the slack of the sampled
-variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's
-test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1 with margins
-relative to the radius. The public functions (:func:`project`,
-:func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate
-to them. A single projection or distance forms one array: the ball
-scales and shifts x - c in place into P(x), and a distance subtracts that
-from x in place; the cone clips, and a distance takes min(x, 0), x - P(x)
-up to signs of zero; the span takes one product, and subtracts x from it.
-A ball or cone distance forms it in the thread's work array
-(``core._scratch``) rather than a new one.
+projection, one placement ``_locate`` (-1 interior, 0 boundary, 1 outside)
+that membership and the interior test read (internal points have the singleton
+inverse image {y}, cuticle points a larger one), inverse-image membership in
+closed form, the facts behind Lem 3.1 and Prop 3.2, member sampling, the slack
+of the sampled variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and
+the oracle's test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1
+with margins relative to the radius. The public functions (:func:`project`,
+:func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate to
+them. A single projection or distance forms one array: the ball scales and
+shifts x - c in place into P(x), and a distance subtracts that from x in
+place; the cone clips, and a distance takes min(x, 0), x - P(x) up to signs of
+zero; the span takes one product, and subtracts x from it. A ball or cone
+distance forms it in the thread's work array, ``core._scratch``.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
-  the outward ray y + t(y - c), t >= 0;
+  the outward ray y + t(y - c), t >= 0; ``_place`` and ``_side`` hold the
+  sphere band tol r and the tangent band tol r ||v|| of the Up/Down test;
 * cone: the coordinatewise clip at zero, which maps -0.0 to +0.0; x
   projects onto y iff x agrees with y on the strictly positive coordinates
   and is nonpositive on the zero coordinates;
@@ -254,8 +254,26 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
     raise ValueError(f"unknown cone region {region!r}")
 
 
+class _Rules:
+    """What every set shares: membership and the interior test read its one placement
+    ``_locate(x, tol)``, -1 in the interior, 0 on the boundary, 1 outside."""
+
+    _vi_slack = VI_SLACK
+
+    def _contains(self, x, tol: float) -> bool:
+        return self._locate(x, tol) <= 0
+
+    def _interior(self, x, tol: float) -> bool:
+        return self._locate(x, tol) < 0
+
+    def _inverse_image_interior(self, x, tol: float) -> bool:
+        # but a cone's: a ball's are rays, with interior only in dimension one, where the
+        # residual-parallel fact has already matched; a span's or the constants' are flat
+        return False
+
+
 @dataclass(frozen=True, eq=False)
-class ClosedBall:
+class ClosedBall(_Rules):
     """All points within distance radius of center."""
 
     center: HilbertPoint
@@ -280,6 +298,11 @@ class ClosedBall:
         """
         slack = tol * self.radius
         return (dist > self.radius + slack) * 1 - (dist < self.radius - slack)
+
+    def _side(self, g: float, nv: float, tol: float) -> int:
+        """-1, 0, 1 as g = <x - c, v> lies below, within, above +-tol r ||v||; nan reads 1 (Up)."""
+        band = tol * self.radius * nv
+        return (not g <= band) - (g < -band)
 
     def _check(self, x):
         """x's dimension as the door tests it, then its weighting against the centre's."""
@@ -335,11 +358,8 @@ class ClosedBall:
             out[i] = p
         return out
 
-    def _contains(self, x, tol: float) -> bool:
-        return self._place(self._offset(x)[1], tol) <= 0
-
-    def _interior(self, x, tol: float) -> bool:
-        return self._place(self._offset(x)[1], tol) < 0
+    def _locate(self, x, tol: float) -> int:
+        return self._place(self._offset(x)[1], tol)
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c)
@@ -357,11 +377,6 @@ class ClosedBall:
             t = g / (r * r)
         # w - t d is finite only if w and t d are, so its lazy norm stands for their scans
         return t >= -tol and _finite_norm(x.weights, w - t * d) <= tol * r
-
-    def _inverse_image_interior(self, x, tol: float) -> bool:
-        # the inverse images are rays, with interior only in dimension one,
-        # where the residual-parallel fact has already matched
-        return False
 
     def _segment_direction(self, x, v, tol: float) -> bool:
         # a sphere point is an extreme point: it lies on no segment of the ball
@@ -394,12 +409,11 @@ class ClosedBall:
 
 
 @dataclass(frozen=True, eq=False)
-class PositiveCone:
+class PositiveCone(_Rules):
     """Coefficient vectors with every coordinate nonnegative."""
 
     dim: int
     _noun = "cone"
-    _vi_slack = VI_SLACK
 
     def __post_init__(self):
         d = _whole(self.dim, "cone dimension")
@@ -420,15 +434,13 @@ class PositiveCone:
         rows.setflags(write=False)  # the clip of checked points is finite
         return _trusted_rows(rows, (x.weights for x in xs))
 
-    def _contains(self, x, tol: float) -> bool:
-        return bool(x.coeffs.min() >= -tol)
+    def _locate(self, x, tol: float) -> int:
+        m = float(x.coeffs.min())
+        return (m < -tol) * 1 - (m > tol)
 
     def _dual_contains(self, x, tol: float) -> bool:
         """Every coordinate at most tol: membership in the dual cone."""
         return bool(x.coeffs.max() <= tol)
-
-    def _interior(self, x, tol: float) -> bool:
-        return bool(x.coeffs.min() > tol)
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         """x agrees with y where y > tol and is at most tol everywhere else."""
@@ -463,7 +475,7 @@ class PositiveCone:
 
 
 @dataclass(frozen=True, eq=False)
-class SubspaceSpan:
+class SubspaceSpan(_Rules):
     """Span of pairwise-orthonormal generators.
 
     An empty generator list denotes the singleton {theta}; it then needs an
@@ -474,7 +486,6 @@ class SubspaceSpan:
     generators: tuple = ()
     ambient_dim: int | None = None
     _noun = "span"
-    _vi_slack = VI_SLACK
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -549,18 +560,13 @@ class SubspaceSpan:
         # point by point: a stacked X W G^T G rounds differently from _project
         return _check_each(xs, self._project)
 
-    def _contains(self, x, tol: float) -> bool:
-        return self._distance(x) <= tol
-
-    def _interior(self, x, tol: float) -> bool:
-        return self.is_full
+    def _locate(self, x, tol: float) -> int:
+        # a member is interior only when the span is the whole space
+        return -self.is_full if self._distance(x) <= tol else 1
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         """x - y orthogonal to every generator: max |G W (x - y)| <= tol."""
         return bool(np.max(np.abs(self._coords((x - y).coeffs)), initial=0.0) <= tol)
-
-    def _inverse_image_interior(self, x, tol: float) -> bool:
-        return False
 
     def _segment_direction(self, x, v, tol: float) -> bool:
         """Whether v lies in the span, relative to its size."""
@@ -589,7 +595,7 @@ class SubspaceSpan:
 
 
 @dataclass(frozen=True, eq=False)
-class _BochnerSet:
+class _BochnerSet(_Rules):
     """Adapter shared by the Bochner sets: one check per argument.
 
     An argument is a BochnerFunction over ``space`` or its flattened point,
@@ -602,7 +608,6 @@ class _BochnerSet:
     """
 
     space: bo.DiscreteProbabilitySpace
-    _vi_slack = VI_SLACK
 
     def _atoms(self, x) -> np.ndarray:
         """x's values as a (k, d) array, after the space or flat-weight checks."""
@@ -712,19 +717,15 @@ class BochnerConstantSubspace(_BochnerSet):
         gap = values - bo._mean(self.space.weights, values)
         return float(np.sqrt(self.space.weights @ np.sum(gap * gap, axis=1)))
 
-    def _contains(self, x, tol: float) -> bool:
-        return self._spread(x.coeffs.reshape(self.space.n_atoms, -1)) <= tol
-
-    def _interior(self, x, tol: float) -> bool:
-        return self.space.n_atoms == 1
+    def _locate(self, x, tol: float) -> int:
+        # a member is interior only over one atom, where every function is constant
+        k = self.space.n_atoms
+        return -(k == 1) if self._spread(x.coeffs.reshape(k, -1)) <= tol else 1
 
     def _inverse_member(self, y, x, tol: float) -> bool:
         k = self.space.n_atoms
         means = bo._mean(self.space.weights, np.stack([x.coeffs, y.coeffs]).reshape(2, k, -1))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
-
-    def _inverse_image_interior(self, x, tol: float) -> bool:
-        return False
 
     _segment_direction = SubspaceSpan._segment_direction  # whether v is constant
 
@@ -791,12 +792,12 @@ def _check_point(s, x):
 
 
 def _flat_direction(s, x, v, tol: float) -> tuple:
-    """(flat set, flat x, flat v) after tol, the set's form checks and v != 0, in that order."""
+    """(flat set, flat x, flat v, ||v||) after tol, the set's form checks and v != 0, in that order."""
     _check_tol(tol)
     flat, fx, fv = _flat_form(s, x, v)
-    if norm(fv) == 0.0:
+    if (nv := norm(fv)) == 0.0:
         raise ZeroDirection("direction must be nonzero")
-    return flat, fx, fv
+    return flat, fx, fv, nv
 
 
 def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
@@ -856,9 +857,10 @@ def classify_point(s, y, tol: float = DEFAULT_TOL) -> PointClass:
     """
     _check_tol(tol)
     flat, fy = _flat_form(s, y)
-    if not flat._contains(fy, tol):
+    place = flat._locate(fy, tol)
+    if place > 0:
         raise NotInSet("point to classify must belong to the set")
-    return PointClass.INTERNAL if flat._interior(fy, tol) else PointClass.CUTICLE
+    return PointClass.INTERNAL if place < 0 else PointClass.CUTICLE
 
 
 def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, rng=None) -> bool:
