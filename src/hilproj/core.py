@@ -96,6 +96,9 @@ class HilbertPoint:
 
     __rmul__ = __mul__
 
+    def __reduce__(self):  # copy.deepcopy and pickle rebuild through the constructor
+        return HilbertPoint, (self.coeffs, self.weights)
+
     def __repr__(self):  # pragma: no cover - debugging aid
         if self.weights is None:
             return f"HilbertPoint({self.coeffs.tolist()})"

@@ -1,7 +1,9 @@
 """Coefficient-vector model: arithmetic, inner products, scalar moduli."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -306,3 +308,23 @@ def test_a_point_holds_two_slots_and_no_dict():
     for p in _built_every_way():
         assert not hasattr(p, "__dict__")
     assert HilbertPoint.__slots__ == ("coeffs", "weights")
+
+
+_CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda p: pickle.loads(pickle.dumps(p))}
+
+
+@pytest.mark.parametrize("name", list(_CLONES))
+def test_copies_of_a_point_are_read_only_points(name):
+    for p in _built_every_way():
+        q = _CLONES[name](p)
+        assert type(q) is HilbertPoint and q is not p
+        assert q.coeffs.tobytes() == p.coeffs.tobytes()
+        assert (q.weights is None) == (p.weights is None)
+        assert not q.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            q.coeffs[0] = 9.0
+        if p.weights is not None:
+            assert q.weights.tobytes() == p.weights.tobytes() and not q.weights.flags.writeable
+            assert (q.weights is p.weights) == (name == "copy")
+            assert inner(p, q) == inner(p, p)
