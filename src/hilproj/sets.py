@@ -644,20 +644,12 @@ class _BochnerSet(_Rules):
         return _gap(x, self._project(x))
 
     def _project_rows(self, xs) -> list:
-        """The batch as one (n, k, d) array per per-atom dimension d.
-
-        Each result is a (k, d) block of its group's array, in its element's form.
-        """
+        """One (n, k, d) array for a batch of one per-atom dimension; others element by element."""
         atoms = _check_each(xs, self._atoms)
-        groups: dict = {}  # element positions by per-atom dimension, in order of first appearance
-        for i, a in enumerate(atoms):
-            groups.setdefault(a.shape[1], []).append(i)
-        out = [None] * len(xs)
-        for idx in groups.values():
-            values = _finite(self._project_atoms(np.stack([atoms[i] for i in idx])))
-            for i, v in zip(idx, values):
-                out[i] = self._like(xs[i], v)
-        return out
+        if any(a.shape[1] != atoms[0].shape[1] for a in atoms):
+            return [self._project(x) for x in xs]
+        values = _finite(self._project_atoms(np.stack(atoms)))
+        return [self._like(x, v) for x, v in zip(xs, values)]
 
     def _sample_dim(self, anchors) -> int:
         if not anchors:
