@@ -267,8 +267,8 @@ class _Rules:
         return self._locate(x, tol) < 0
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
-        # but a cone's: a ball's are rays, with interior only in dimension one, where the
-        # residual-parallel fact has already matched; a span's or the constants' are flat
+        # the cone overrides this: a ball's inverse images are rays (interior only in dimension
+        # one, where Prop 3.1 matches first), a span's or the constants' proper affine subspaces
         return False
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from hilproj import (
     BochnerConstantSubspace,
+    BochnerFunction,
     BochnerPointwiseCone,
     ClosedBall,
     DerivativeResult,
@@ -34,7 +35,6 @@ from hilproj import (
     in_inverse_image,
     unflatten,
 )
-from hilproj.bochner import BochnerFunction
 
 TOLS = (1e-9, 1e-6, 0.0)
 RADII = (1e-8, 1e-4, 1.0, 1e4, 1e8)
