@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HilbertPoint, _dot, _norm, _trusted, _trusted_rows
+from .core import HilbertPoint, _dot, _norm, _proven, _trusted, _trusted_rows
 from .errors import (
     DimensionMismatch,
     EmptySubset,
@@ -142,7 +142,7 @@ class BochnerFunction:
         return self.array.shape[1]
 
     def value_at(self, atom_id: str) -> HilbertPoint:
-        return _trusted(self.array[self.space.index_of(atom_id)], None)
+        return _proven(self.array[self.space.index_of(atom_id)], None)
 
     @classmethod
     def from_dict(cls, space: DiscreteProbabilitySpace, values_by_id: dict) -> "BochnerFunction":
@@ -220,7 +220,7 @@ def expectation(f: BochnerFunction) -> HilbertPoint:
 
 def flatten(f: BochnerFunction) -> HilbertPoint:
     """Atom-major coefficient vector with each atom weight repeated d times: f.array as k*d."""
-    return _trusted(f.array.reshape(-1), flat_weights(f.space, f.point_dim))
+    return _proven(f.array.reshape(-1), flat_weights(f.space, f.point_dim))
 
 
 def flat_weights(space: DiscreteProbabilitySpace, point_dim: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bochner as bo
 from . import jsonio
-from .core import DEFAULT_TOL, HilbertPoint
+from .core import DEFAULT_TOL, _proven
 from .derivatives import classify_direction, derivative
 from .errors import (
     DimensionMismatch,
@@ -68,7 +68,7 @@ def _decode_point_for(s, obj):
     if is_bochner_set(s) and p.weights is None:
         k = s.space.n_atoms
         if p.dim % k == 0 and p.dim > 0:
-            p = HilbertPoint(p.coeffs, bo.flat_weights(s.space, p.dim // k))
+            p = _proven(p.coeffs, bo.flat_weights(s.space, p.dim // k))
     return p
 
 

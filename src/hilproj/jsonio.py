@@ -111,10 +111,7 @@ def decode_point(obj) -> HilbertPoint:
     if weights is not None and not _is_number_array(weights):
         raise InputError("\"weights\" must be an array of numbers")
     try:
-        return HilbertPoint(
-            np.array(coeffs, dtype=np.float64),
-            None if weights is None else np.array(weights, dtype=np.float64),
-        )
+        return HilbertPoint(coeffs, weights)
     except (ValueError, OverflowError) as e:
         raise InputError(str(e)) from None
 

@@ -12,11 +12,11 @@ of the sampled variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and
 the oracle's test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1
 with margins relative to the radius. The public functions (:func:`project`,
 :func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate to
-them. A single projection or distance forms one array: the ball scales and
-shifts x - c in place into P(x), and a distance subtracts that from x in
-place; the cone clips, and a distance takes min(x, 0), x - P(x) up to signs of
-zero; the span takes one product, and subtracts x from it. A ball or cone
-distance forms it in the thread's work array, ``core._scratch``.
+them. A single projection or distance forms one array: the ball's one
+pull-back scales and shifts x - c in place into P(x), and the distance shares
+it, then subtracts P(x) from x in place; the cone clips, and a distance takes
+min(x, 0), x - P(x) up to signs of zero; the span takes one product, and
+subtracts x from it. A ball or cone distance works in ``core._scratch``.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
@@ -30,19 +30,19 @@ distance forms it in the thread's work array, ``core._scratch``.
 * Bochner constants: x projects onto the constant y iff E(x) equals y's
   constant value.
 
-The Bochner sets are adapters. They accept a BochnerFunction or its
-flattened weighted coefficient vector. Projection reads either form as one
-(k, d) array without a copy and returns its result in the form of the
-argument. Every other query (membership, point classes, inverse images,
-derivatives, the variational certificate) passes :func:`_flat_form` once,
-which checks the space, the per-atom dimension and the weights and names
-the flat set whose rules then run on the flat points: the positive cone of
-the k*d coordinates for the pointwise cone (its rules ignore the weights),
-and the constants themselves, whose rules take one mu-weighted expectation
-kernel. A ball, cone or span argument, of a query or a paper helper, passes
-the same door: a non-point or a wrong dimension gets one text, then two
-weightings are turned away. Projection tests dimensions in one comparison
-per point; a ball's centre and a span's generators check their weighting.
+The Bochner sets are adapters. They accept a BochnerFunction or its flattened
+weighted coefficient vector, and give a non-point one text before reading it.
+Projection reads either form as one (k, d) array without a copy and returns
+its result in the form of the argument. Every other query (membership, point
+classes, inverse images, derivatives, the variational certificate) passes
+:func:`_flat_form` once, which checks the space, the per-atom dimension and
+the weights and names the flat set whose rules then run on the flat points:
+the positive cone of the k*d coordinates for the pointwise cone (its rules
+ignore the weights), and the constants themselves, whose rules take one
+mu-weighted expectation kernel. A ball, cone or span argument, of a query, a
+projection or a paper helper, passes the same door before any of it is read:
+a non-point or a wrong dimension gets one text, then two weightings are turned
+away. A ball's centre and a span's generators check their weighting.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def ball_region_point(ball: ClosedBall, region: str, rng, margin: float = 0.1) -
     c, r = ball.center, ball.radius
     u = rng.standard_normal(ball.dim)
     u = u / _norm(c.weights, u)
-    direction = HilbertPoint(u, c.weights)
+    direction = _trusted(u, c.weights)
     if region == "interior":
         return c + (r * rng.uniform(0.0, max(0.0, 1.0 - margin / r))) * direction
     if region == "sphere":
@@ -215,12 +215,12 @@ def sphere_direction(ball: ClosedBall, x: HilbertPoint, klass: DirectionClass, r
     radial component is smaller than the probe step. The bound scales with
     r, as <x - c, v> does, so every radius rejects the same share of draws.
     """
-    d = x - ball.center
+    d, _ = ball._offset(x)
     w = ball.center.weights
     for _ in range(1000):
         # each draw is tested on its array; only the accepted one becomes a point
         v = rng.uniform(-2.0, 2.0, ball.dim)
-        g = _dot(w, d.coeffs, v)
+        g = _dot(w, d, v)
         if abs(g) < margin * ball.radius * max(_norm(w, v), margin):
             continue
         if (g >= 0.0) == (klass is DirectionClass.UP):
@@ -315,25 +315,26 @@ class ClosedBall(_Rules):
         diff = np.subtract(x.coeffs, self.center.coeffs, out=out)
         return diff, _finite_norm(x.weights, diff)
 
-    def _project(self, x):
+    def _pull_back(self, x, out=None):
+        """P(x) in the array of x - c (out if given), after _check(x); None when P(x) is x."""
         # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
         # in place; s*diff + c rounds as c + s*diff does. No scan of the result:
         # outside the band s = r/d < 1, so each c_i + s*diff_i lies between c_i
         # and c_i + diff_i (about x_i) and rounds finite; at d = inf it is c.
-        diff, d = self._offset(x)
+        diff, d = self._offset(x, out)
         if self._place(d, _SPHERE_BAND) <= 0:
-            return x
+            return None
         diff *= self.radius / d
         diff += self.center.coeffs
-        return _proven(diff, self.center.weights)
+        return diff
+
+    def _project(self, x):
+        p = self._pull_back(x)
+        return x if p is None else _proven(p, self.center.weights)
 
     def _distance(self, x) -> float:
-        diff, d = self._offset(x, _scratch(x.dim))
-        if self._place(d, _SPHERE_BAND) <= 0:
-            return 0.0
-        diff *= self.radius / d
-        diff += self.center.coeffs
-        return _finite_norm(x.weights, np.subtract(x.coeffs, diff, out=diff))
+        p = self._pull_back(x, _scratch(self.dim))
+        return 0.0 if p is None else _finite_norm(x.weights, np.subtract(x.coeffs, p, out=p))
 
     def _project_rows(self, xs) -> list:
         c = self.center
@@ -554,6 +555,8 @@ class SubspaceSpan(_Rules):
         """Sum of <x, u_i> u_i as one fresh array, after x's weighting is checked."""
         if self.generators:
             _check_compatible(x, self.generators[0])
+        elif x.dim != self.dim:
+            raise DimensionMismatch(f"dimensions {x.dim} and {self.dim} differ")
         return self._coords(x.coeffs) @ self._basis
 
     def _project_rows(self, xs) -> list:
@@ -610,11 +613,13 @@ class _BochnerSet(_Rules):
     space: bo.DiscreteProbabilitySpace
 
     def _atoms(self, x) -> np.ndarray:
-        """x's values as a (k, d) array, after the space or flat-weight checks."""
+        """x's values as a (k, d) array, after the non-point, space or flat-weight checks."""
         if isinstance(x, bo.BochnerFunction):
             if not x.space.same_space(self.space):
                 raise SpaceMismatch("functions live over different probability spaces")
             return x.array
+        if not isinstance(x, HilbertPoint):
+            raise DimensionMismatch(f"functions over {self.space.n_atoms} atoms got {type(x).__name__}")
         return x.coeffs.reshape(self.space.n_atoms, bo._flat_point_dim(self.space, x))
 
     def _flat_args(self, *points) -> tuple:
@@ -878,13 +883,13 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
 
 def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoint:
     """Point y + t(y - c) of the inverse-image ray at a sphere point y."""
-    ball, y = _flat_form(ball, y)
-    if ball._place(ball._offset(y)[1], DEFAULT_TOL) != 0:
+    d, dist = ball._offset(y)
+    if ball._place(dist, DEFAULT_TOL) != 0:
         raise NotOnSphere("ray vertex must lie on the sphere")
     t = float(t)
     if t < 0.0:
         raise ValueError("ray parameter must be nonnegative")
-    return y + t * (y - ball.center)
+    return _trusted(y.coeffs + t * d, y.weights)
 
 
 def dual_cone_contains(cone: PositiveCone, z: HilbertPoint, tol: float = DEFAULT_TOL) -> bool:

@@ -2,8 +2,8 @@
 
 ``core._trusted_rows`` wraps the rows of a computed array with one weighting
 per row, so a batch result carries its element's weights object (or, on a
-ball, the centre's), never a copy. ``hilproj.projection`` is an alias of the
-functions in ``hilproj.sets``.
+ball, the centre's), never a copy. The package exports the projection
+functions of ``hilproj.sets`` themselves.
 """
 
 from itertools import repeat
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import hilproj.bochner
-import hilproj.projection
 import hilproj.sets
 from hilproj import (
     BochnerConstantSubspace,
@@ -43,7 +42,6 @@ def _function(rng, sp, d):
 
 @pytest.mark.parametrize("name", ["project", "distance", "project_sequence"])
 def test_projection_module_is_an_alias_of_sets(name):
-    assert getattr(hilproj.projection, name) is getattr(hilproj.sets, name)
     assert getattr(hilproj, name) is getattr(hilproj.sets, name)
 
 

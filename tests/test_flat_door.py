@@ -26,6 +26,8 @@ from hilproj import (
     PositiveCone,
     SubspaceSpan,
     WeightMismatch,
+    ball_inverse_ray,
+    ball_region_point,
     bochner_ball_derivative,
     bochner_inner,
     bochner_norm,
@@ -128,6 +130,25 @@ def test_one_message_names_every_argument_dimension(name):
 def test_cone_derivative_keeps_its_message():
     with pytest.raises(DimensionMismatch, match="^cone of dimension 3 got 2/3$"):
         cone_derivative(PositiveCone(3), pt(1.0, 2.0), pt(1.0, 0.0, -1.0))
+
+
+def test_the_empty_span_component_checks_the_dimension():
+    with pytest.raises(DimensionMismatch, match="^dimensions 2 and 3 differ$"):
+        span_component(SubspaceSpan((), ambient_dim=3), pt(1.0, 2.0))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_the_inverse_ray_is_y_plus_t_times_y_minus_c_bit_for_bit(weighted):
+    rng = np.random.default_rng(26)
+    for r in np.logspace(-8.0, 8.0, 17):
+        w = rng.uniform(0.5, 2.0, 4) if weighted else None
+        ball = ClosedBall(HilbertPoint(r * rng.uniform(-3.0, 3.0, 4), w), r)
+        for _ in range(20):
+            y = ball_region_point(ball, "sphere", rng)
+            t = float(rng.uniform(0.0, 10.0))
+            ray = ball_inverse_ray(ball, y, t)
+            assert ray.coeffs.tobytes() == (y.coeffs + t * (y.coeffs - ball.center.coeffs)).tobytes()
+            assert ray.weights is y.weights
 
 
 def test_no_rule_checks_the_dimension_again():

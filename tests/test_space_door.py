@@ -6,7 +6,9 @@ space: a non-point (a function) or a wrong dimension is one
 entry point, and two weightings among the arguments are one
 ``WeightMismatch``, raised before any rule looks at the points. Projections
 make the same dimension test in one comparison per point and raise the
-door's text; a batch prefixes it with ``element i:``.
+door's text; a batch prefixes it with ``element i:``. A Bochner set turns a
+non-point away at its own door, ``"functions over k atoms got <type>"``, and
+the CLI gives an unweighted flat payload the space's weights without a copy.
 """
 
 import json
@@ -16,7 +18,9 @@ import pytest
 
 import hilproj.sets
 from hilproj import (
+    BochnerConstantSubspace,
     BochnerFunction,
+    BochnerPointwiseCone,
     ClosedBall,
     DimensionMismatch,
     DiscreteProbabilitySpace,
@@ -32,8 +36,10 @@ from hilproj import (
     cone_inverse_translation_check,
     contains,
     derivative,
+    distance,
     dual_cone_contains,
     fd_derivative,
+    flat_weights,
     generic_facts_derivative,
     in_inverse_image,
     project,
@@ -41,6 +47,7 @@ from hilproj import (
     sample_points,
     variational_certificate,
 )
+from hilproj import cli, jsonio
 from hilproj.cli import main
 
 
@@ -58,10 +65,11 @@ SETS = {
     "weighted_span": (SubspaceSpan((pt(1.0, 0.0, weights=W),)), "span", W),
 }
 SPACE = DiscreteProbabilitySpace(("a", "b"), np.array([0.5, 0.5]))
-# a function over two atoms with values in R^2, and a point of dimension 3
+# a point of dimension 3, a function over two atoms with values in R^2, and a str
 BAD = {
     "dimension": (pt(1.0, 2.0, 3.0), "3"),
     "function": (BochnerFunction(SPACE, (pt(1.0, 2.0), pt(0.0, 1.0))), "BochnerFunction"),
+    "str": ("ab", "str"),
 }
 
 
@@ -78,6 +86,7 @@ def _other_weighting(name):
 # entry point: (the sets it takes, call(s, member, bad), argument dimensions with b for the bad one)
 CALLS = {
     "project": (SETS, lambda s, m, b: project(s, b), "b"),
+    "distance": (SETS, lambda s, m, b: distance(s, b), "b"),
     "contains": (SETS, lambda s, m, b: contains(s, b), "b"),
     "classify_point": (SETS, lambda s, m, b: classify_point(s, b), "b"),
     "in_inverse_image": (SETS, lambda s, m, b: in_inverse_image(s, m, b), "2/b"),
@@ -185,6 +194,43 @@ def test_every_ball_rule_checks_the_centres_weighting():
         for f, *args in calls:
             with pytest.raises(WeightMismatch, match=text):
                 f(*args)
+
+
+BOCHNER = {"pointwise_cone": BochnerPointwiseCone(SPACE), "constants": BochnerConstantSubspace(SPACE)}
+# entry point: call(s, member, non-point)
+BOCHNER_CALLS = {
+    "project": lambda s, m, b: project(s, b),
+    "distance": lambda s, m, b: distance(s, b),
+    "contains": lambda s, m, b: contains(s, b),
+    "classify_point": lambda s, m, b: classify_point(s, b),
+    "in_inverse_image": lambda s, m, b: in_inverse_image(s, m, b),
+    "derivative": lambda s, m, b: derivative(s, m, b),
+}
+
+
+@pytest.mark.parametrize("bad", ["ab", [1.0, 2.0, 3.0, 4.0]], ids=["str", "list"])
+@pytest.mark.parametrize("call", sorted(BOCHNER_CALLS))
+@pytest.mark.parametrize("name", sorted(BOCHNER))
+def test_a_bochner_set_turns_a_non_point_away_at_the_door(name, call, bad):
+    member = BAD["function"][0]
+    text = f"functions over 2 atoms got {type(bad).__name__}"
+    with pytest.raises(DimensionMismatch, match=f"^{text}$"):
+        BOCHNER_CALLS[call](BOCHNER[name], member, bad)
+    with pytest.raises(DimensionMismatch, match=f"^element 1: {text}$"):
+        project_sequence(BOCHNER[name], [member, bad])
+
+
+def test_a_flat_bochner_payload_keeps_its_decoded_array(monkeypatch):
+    decoded, real = [], jsonio.decode_point
+
+    def decode(obj):
+        decoded.append(real(obj))
+        return decoded[-1]
+
+    monkeypatch.setattr(jsonio, "decode_point", decode)
+    p = cli._decode_point_for(BOCHNER["pointwise_cone"], {"coeffs": [1.0, 2.0, 3.0, 4.0]})
+    assert np.shares_memory(p.coeffs, decoded[0].coeffs)
+    assert p.weights is flat_weights(SPACE, 2)
 
 
 def test_no_second_dimension_check_is_left():
