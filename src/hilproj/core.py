@@ -223,8 +223,8 @@ def inner(x: HilbertPoint, y: HilbertPoint) -> float:
 
 
 def _dot(w, a: np.ndarray, b: np.ndarray) -> float:
-    """inner() on coefficient arrays (w None when unweighted), rounding exactly as inner does."""
-    return float(np.dot(a if w is None else w * a, b))
+    """inner() on arrays (w None when unweighted), rounding as inner does: np.dot's cblas call, by method."""
+    return float((a if w is None else w * a).dot(b))
 
 
 def norm(x: HilbertPoint) -> float:

@@ -84,8 +84,7 @@ class DerivativeResult:
             raise ValueError("covered results need a value")
 
 
-def _not_covered() -> DerivativeResult:
-    return DerivativeResult(covered=False, case_tag=NOT_COVERED_TAG)
+_NOT_COVERED = DerivativeResult(covered=False, case_tag=NOT_COVERED_TAG)
 
 
 def classify_direction(ball: ClosedBall, x: HilbertPoint, v: HilbertPoint,
@@ -146,15 +145,15 @@ def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
 
 
 def _cone_cases(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
-                tol: float) -> DerivativeResult:
-    place = cone._locate(x, tol)
+                tol: float, nv=None, placed=None) -> DerivativeResult:
+    place = (placed or cone._locate(x, tol))[0]
     if place <= 0 and cone._contains(v, tol):
         return DerivativeResult(True, "Thm5.1(i)", v)
     if cone._dual_contains(x, tol) and cone._dual_contains(v, tol):
         return DerivativeResult(True, "Thm5.1(ii)", zeros_like(v))
     if place < 0:
         return DerivativeResult(True, "Thm5.1(iii)", v)
-    return _not_covered()
+    return _NOT_COVERED
 
 
 def constants_subspace_derivative(space: bo.DiscreteProbabilitySpace,
@@ -198,28 +197,28 @@ def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
     whose rules hold on them (the positive cone of the k*d coordinates for
     the pointwise cone); other sets are their own flat form.
     """
-    flat, fx, fv, _ = _flat_direction(s, x, v, tol)
-    result = rule(flat, fx, fv, tol)
+    flat, fx, fv, nv = _flat_direction(s, x, v, tol)
+    result = rule(flat, fx, fv, tol, nv)
     if not (result.covered and isinstance(x, bo.BochnerFunction)):
         return result
     value = result.value.coeffs.reshape(s.space.n_atoms, -1)
     return DerivativeResult(True, result.case_tag, s._like(x, value))
 
 
-def _generic_facts(s, x, v, tol: float) -> DerivativeResult:
+def _generic_facts(s, x, v, tol: float, nv: float, placed=None) -> DerivativeResult:
     if getattr(s, "is_singleton", False):
         return DerivativeResult(True, "Lem3.2", zeros_like(v))
-    place = s._locate(x, tol)
+    place, formed = placed or s._locate(x, tol)  # x's placement, if the caller holds it
     if place < 0:
         return DerivativeResult(True, "Prop3.3", v)
     if place == 0:
-        return DerivativeResult(True, "Lem3.1", v) if s._segment_direction(x, v, tol) else _not_covered()
-    w = x.coeffs - s._project(x).coeffs
-    if _parallel(x.weights, v.coeffs, w, _dot(x.weights, v.coeffs, w), norm(v)):
+        return DerivativeResult(True, "Lem3.1", v) if s._segment_direction(x, v, tol, nv) else _NOT_COVERED
+    w = x.coeffs - s._project(x, formed).coeffs  # P(x) from what the placement formed
+    if _parallel(x.weights, v.coeffs, w, _dot(x.weights, v.coeffs, w), nv):
         return DerivativeResult(True, "Prop3.1", zeros_like(v))
     if s._inverse_image_interior(x, tol):
         return DerivativeResult(True, "Prop3.2", zeros_like(v))
-    return _not_covered()
+    return _NOT_COVERED
 
 
 def generic_facts_derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:
@@ -239,16 +238,17 @@ def generic_facts_derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeRes
     return _adapted(_generic_facts, s, x, v, tol)
 
 
-def _clauses(s, x, v, tol: float) -> DerivativeResult:
+def _clauses(s, x, v, tol: float, nv: float) -> DerivativeResult:
     """The clause of a flat set other than a ball: Thm 7.2, or Thm 5.1 then the generic facts."""
     if isinstance(s, BochnerConstantSubspace):
         # the projection onto the constants is affine, so P'(x)(h) = P(h)
         return DerivativeResult(True, "Thm7.2", s._project(v))
+    placed = s._locate(x, tol)  # the cone's Thm 5.1 cases and the generic facts read it
     if isinstance(s, PositiveCone):
-        result = _cone_cases(s, x, v, tol)
+        result = _cone_cases(s, x, v, tol, nv, placed)
         if result.covered:
             return result
-    return _generic_facts(s, x, v, tol)
+    return _generic_facts(s, x, v, tol, nv, placed)
 
 
 def derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:

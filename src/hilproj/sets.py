@@ -255,16 +255,29 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
 
 
 class _Rules:
-    """What every set shares: membership and the interior test read its one placement
-    ``_locate(x, tol)``, -1 in the interior, 0 on the boundary, 1 outside."""
+    """What every set shares: the door, and membership and the interior test read from its one
+    placement ``_locate(x, tol)``, the pair (-1 interior, 0 boundary, 1 outside; what it formed
+    that ``_project`` and ``_inverse_member`` take back: a ball's x - c and norm, a span's P(x))."""
 
     _vi_slack = VI_SLACK
 
+    def _flat_args(self, *points) -> tuple:
+        """(self, *points) after the door: each a point of the set's dimension, then one weighting."""
+        dim = self.dim
+        for p in points:
+            if getattr(p, "dim", None) != dim:
+                dims = "/".join(str(getattr(q, "dim", type(q).__name__)) for q in points)
+                raise DimensionMismatch(f"{self._noun} of dimension {dim} got {dims}")
+        for p in points[1:]:
+            if not same_weights(points[0], p):
+                _check_compatible(points[0], p)
+        return (self, *points)
+
     def _contains(self, x, tol: float) -> bool:
-        return self._locate(x, tol) <= 0
+        return self._locate(x, tol)[0] <= 0
 
     def _interior(self, x, tol: float) -> bool:
-        return self._locate(x, tol) < 0
+        return self._locate(x, tol)[0] < 0
 
     def _inverse_image_interior(self, x, tol: float) -> bool:
         # the cone overrides this: a ball's inverse images are rays (interior only in dimension
@@ -307,7 +320,7 @@ class ClosedBall(_Rules):
     def _check(self, x):
         """x's dimension as the door tests it, then its weighting against the centre's."""
         if getattr(x, "dim", None) != self.center.dim or not same_weights(x, self.center):
-            _check_compatible(_check_point(self, x), self.center)
+            _check_compatible(self._flat_args(x)[1], self.center)
 
     def _offset(self, x, out=None) -> tuple:
         """(x - c, ||x - c||) after _check(x), in out if given: a finite norm proves x - c finite."""
@@ -315,25 +328,25 @@ class ClosedBall(_Rules):
         diff = np.subtract(x.coeffs, self.center.coeffs, out=out)
         return diff, _finite_norm(x.weights, diff)
 
-    def _pull_back(self, x, out=None):
-        """P(x) in the array of x - c (out if given), after _check(x); None when P(x) is x."""
+    def _pull_back(self, x, at=None):
+        """P(x) in the array of x - c, at = _offset(x) if given; None when P(x) is x."""
         # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
         # in place; s*diff + c rounds as c + s*diff does. No scan of the result:
         # outside the band s = r/d < 1, so each c_i + s*diff_i lies between c_i
         # and c_i + diff_i (about x_i) and rounds finite; at d = inf it is c.
-        diff, d = self._offset(x, out)
+        diff, d = self._offset(x) if at is None else at
         if self._place(d, _SPHERE_BAND) <= 0:
             return None
         diff *= self.radius / d
         diff += self.center.coeffs
         return diff
 
-    def _project(self, x):
-        p = self._pull_back(x)
+    def _project(self, x, at=None):
+        p = self._pull_back(x, at)
         return x if p is None else _proven(p, self.center.weights)
 
     def _distance(self, x) -> float:
-        p = self._pull_back(x, _scratch(self.dim))
+        p = self._pull_back(x, self._offset(x, _scratch(self.dim)))
         return 0.0 if p is None else _finite_norm(x.weights, np.subtract(x.coeffs, p, out=p))
 
     def _project_rows(self, xs) -> list:
@@ -359,12 +372,13 @@ class ClosedBall(_Rules):
             out[i] = p
         return out
 
-    def _locate(self, x, tol: float) -> int:
-        return self._place(self._offset(x)[1], tol)
+    def _locate(self, x, tol: float) -> tuple:
+        at = self._offset(x)
+        return self._place(at[1], tol), at
 
-    def _inverse_member(self, y, x, tol: float) -> bool:
+    def _inverse_member(self, y, x, tol: float, at=None) -> bool:
         # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c)
-        d, dist = self._offset(y)
+        d, dist = self._offset(y) if at is None else at
         w, r = x.coeffs - y.coeffs, self.radius
         t = 0.0
         if self._place(dist, tol) >= 0:
@@ -379,7 +393,7 @@ class ClosedBall(_Rules):
         # w - t d is finite only if w and t d are, so its lazy norm stands for their scans
         return t >= -tol and _finite_norm(x.weights, w - t * d) <= tol * r
 
-    def _segment_direction(self, x, v, tol: float) -> bool:
+    def _segment_direction(self, x, v, tol: float, nv=None) -> bool:
         # a sphere point is an extreme point: it lies on no segment of the ball
         return False
 
@@ -422,28 +436,28 @@ class PositiveCone(_Rules):
             raise ValueError("cone dimension must be a positive integer")
         object.__setattr__(self, "dim", d)
 
-    def _project(self, x):
+    def _project(self, x, formed=None):
         # the clip of a checked point is finite
-        return _proven(clip_nonnegative(_check_point(self, x).coeffs), x.weights)
+        return _proven(clip_nonnegative(self._flat_args(x)[1].coeffs), x.weights)
 
     def _distance(self, x) -> float:
-        _check_point(self, x)
+        self._flat_args(x)
         return _finite_norm(x.weights, np.minimum(x.coeffs, 0.0, out=_scratch(x.dim)))
 
     def _project_rows(self, xs) -> list:
-        rows = clip_nonnegative(_gather(self, xs, lambda x: _check_point(self, x)))
+        rows = clip_nonnegative(_gather(self, xs, self._flat_args))
         rows.setflags(write=False)  # the clip of checked points is finite
         return _trusted_rows(rows, (x.weights for x in xs))
 
-    def _locate(self, x, tol: float) -> int:
+    def _locate(self, x, tol: float) -> tuple:
         m = float(x.coeffs.min())
-        return (m < -tol) * 1 - (m > tol)
+        return (m < -tol) * 1 - (m > tol), None
 
     def _dual_contains(self, x, tol: float) -> bool:
         """Every coordinate at most tol: membership in the dual cone."""
         return bool(x.coeffs.max() <= tol)
 
-    def _inverse_member(self, y, x, tol: float) -> bool:
+    def _inverse_member(self, y, x, tol: float, formed=None) -> bool:
         """x agrees with y where y > tol and is at most tol everywhere else."""
         positive = y.coeffs > tol
         return not ((np.abs(x.coeffs[positive] - y.coeffs[positive]) > tol).any()
@@ -452,7 +466,7 @@ class PositiveCone(_Rules):
     def _inverse_image_interior(self, x, tol: float) -> bool:
         return bool(x.coeffs.max() < -tol)
 
-    def _segment_direction(self, x, v, tol: float) -> bool:
+    def _segment_direction(self, x, v, tol: float, nv=None) -> bool:
         """Whether v vanishes, relative to its size, on the zero face of x."""
         face = x.coeffs <= tol
         scale = max(1.0, float(np.abs(v.coeffs).max()))
@@ -497,19 +511,17 @@ class SubspaceSpan(_Rules):
             d = _whole(self.ambient_dim, "ambient_dim")
             if d < 1:
                 raise ValueError("ambient_dim must be a positive integer")
-            object.__setattr__(self, "ambient_dim", d)
-            object.__setattr__(self, "_basis", np.zeros((0, d)))
-            return
-        d = gens[0].dim
-        for u in gens[1:]:
-            if u.dim != d:
-                raise ValueError("generators must share one dimension")
-            if not same_weights(gens[0], u):
-                raise ValueError("generators must share one weight vector")
-        if self.ambient_dim is not None and _whole(self.ambient_dim, "ambient_dim") != d:
-            raise ValueError("ambient_dim disagrees with generator dimension")
+        else:
+            d = gens[0].dim
+            for u in gens[1:]:
+                if u.dim != d:
+                    raise ValueError("generators must share one dimension")
+                if not same_weights(gens[0], u):
+                    raise ValueError("generators must share one weight vector")
+            if self.ambient_dim is not None and _whole(self.ambient_dim, "ambient_dim") != d:
+                raise ValueError("ambient_dim disagrees with generator dimension")
         object.__setattr__(self, "ambient_dim", d)
-        basis = np.stack([u.coeffs for u in gens])
+        basis = np.stack([u.coeffs for u in gens]) if gens else np.zeros((0, d))
         basis.setflags(write=False)
         object.__setattr__(self, "_basis", basis)
         gram = self._coords(basis)
@@ -544,11 +556,11 @@ class SubspaceSpan(_Rules):
         w = self._weights
         return (rows if w is None else rows * w) @ self._basis.T
 
-    def _project(self, x):
-        return span_component(self, _check_point(self, x))
+    def _project(self, x, u=None):
+        return span_component(*self._flat_args(x)) if u is None else _trusted(u, x.weights)
 
     def _distance(self, x) -> float:
-        u = self._component(_check_point(self, x))
+        u = self._component(self._flat_args(x)[1])
         return _finite_norm(x.weights, np.subtract(x.coeffs, u, out=u))
 
     def _component(self, x) -> np.ndarray:
@@ -563,17 +575,19 @@ class SubspaceSpan(_Rules):
         # point by point: a stacked X W G^T G rounds differently from _project
         return _check_each(xs, self._project)
 
-    def _locate(self, x, tol: float) -> int:
-        # a member is interior only when the span is the whole space
-        return -self.is_full if self._distance(x) <= tol else 1
+    def _locate(self, x, tol: float) -> tuple:
+        # P(x) is kept, x - P(x) normed in the work array; only the whole space has interior
+        u = self._component(x)
+        dist = _finite_norm(x.weights, np.subtract(x.coeffs, u, out=_scratch(self.dim)))
+        return (-self.is_full if dist <= tol else 1), u
 
-    def _inverse_member(self, y, x, tol: float) -> bool:
+    def _inverse_member(self, y, x, tol: float, formed=None) -> bool:
         """x - y orthogonal to every generator: max |G W (x - y)| <= tol."""
-        return bool(np.max(np.abs(self._coords((x - y).coeffs)), initial=0.0) <= tol)
+        return bool(np.max(np.abs(self._coords(_finite(x.coeffs - y.coeffs))), initial=0.0) <= tol)
 
-    def _segment_direction(self, x, v, tol: float) -> bool:
-        """Whether v lies in the span, relative to its size."""
-        return self._contains(v, tol * max(1.0, norm(v)))
+    def _segment_direction(self, x, v, tol: float, nv=None) -> bool:
+        """Whether v lies in the span, relative to its size ||v|| (nv, when known)."""
+        return self._contains(v, tol * max(1.0, norm(v) if nv is None else nv))
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         return rng.uniform(-4.0, 4.0, (n, self.n_generators)) @ self._basis, self._weights
@@ -642,7 +656,7 @@ class _BochnerSet(_Rules):
             return bo._function(self.space, atoms)
         return _proven(atoms.reshape(-1), bo.flat_weights(self.space, atoms.shape[1]))
 
-    def _project(self, x):
+    def _project(self, x, formed=None):
         return self._like(x, _finite(self._project_atoms(self._atoms(x))))
 
     def _distance(self, x) -> float:
@@ -714,12 +728,12 @@ class BochnerConstantSubspace(_BochnerSet):
         gap = values - bo._mean(self.space.weights, values)
         return float(np.sqrt(self.space.weights @ np.sum(gap * gap, axis=1)))
 
-    def _locate(self, x, tol: float) -> int:
+    def _locate(self, x, tol: float) -> tuple:
         # a member is interior only over one atom, where every function is constant
         k = self.space.n_atoms
-        return -(k == 1) if self._spread(x.coeffs.reshape(k, -1)) <= tol else 1
+        return (-(k == 1) if self._spread(x.coeffs.reshape(k, -1)) <= tol else 1), None
 
-    def _inverse_member(self, y, x, tol: float) -> bool:
+    def _inverse_member(self, y, x, tol: float, formed=None) -> bool:
         k = self.space.n_atoms
         means = bo._mean(self.space.weights, np.stack([x.coeffs, y.coeffs]).reshape(2, k, -1))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
@@ -770,22 +784,7 @@ def is_bochner_set(s) -> bool:
 
 def _flat_form(s, *points) -> tuple:
     """(flat set, flat points): a Bochner set flattens; a flat set checks points, dimension, weights."""
-    if is_bochner_set(s):
-        return s._flat_args(*points)
-    for p in points:
-        if getattr(p, "dim", None) != s.dim:
-            dims = "/".join(str(getattr(q, "dim", type(q).__name__)) for q in points)
-            raise DimensionMismatch(f"{s._noun} of dimension {s.dim} got {dims}")
-    for p in points[1:]:
-        _check_compatible(points[0], p)
-    return (s, *points)
-
-
-def _check_point(s, x):
-    """x, after the door's dimension check for a ball, cone or span, in one comparison."""
-    if getattr(x, "dim", None) != s.dim:
-        _flat_form(s, x)
-    return x
+    return s._flat_args(*points)
 
 
 def _flat_direction(s, x, v, tol: float) -> tuple:
@@ -854,7 +853,7 @@ def classify_point(s, y, tol: float = DEFAULT_TOL) -> PointClass:
     """
     _check_tol(tol)
     flat, fy = _flat_form(s, y)
-    place = flat._locate(fy, tol)
+    place = flat._locate(fy, tol)[0]
     if place > 0:
         raise NotInSet("point to classify must belong to the set")
     return PointClass.INTERNAL if place < 0 else PointClass.CUTICLE
@@ -872,9 +871,10 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
     if sample_budget < 0:
         raise ValueError("sample_budget must be nonnegative")
     flat, fy, fx = _flat_form(s, y, x)
-    if not flat._contains(fy, tol):
+    place, formed = flat._locate(fy, tol)  # y's one placement: membership, then the rule reads it
+    if place > 0:
         raise NotInSet("candidate image point must belong to the set")
-    exact = flat._inverse_member(fy, fx, tol)
+    exact = flat._inverse_member(fy, fx, tol, formed)
     if not exact or sample_budget <= 0:
         return exact
     rng = np.random.default_rng(0) if rng is None else rng
