@@ -8,11 +8,11 @@ identifiers consumed by the CLI and tests; uncovered inputs get the tag
 finite-difference oracle for an empirical estimate.
 
 Every derivative, :func:`classify_direction` and ``fd_derivative`` check
-``tol`` first, then the set's form checks, then that the direction is
-nonzero, all in ``sets._flat_direction``, which hands on ||v||. The form
-checks are the same door for every set: the space, per-atom dimension and
-weights of a Bochner argument, the dimension and one weighting of ball,
-cone or span arguments.
+``tol``, then the set's door (the space, per-atom dimension and weights of a
+Bochner argument; the dimension and one weighting of ball, cone or span
+arguments), then that the direction is nonzero, in ``sets._flat_direction``.
+Its ||v|| is handed on to Prop 3.1 and to Lem 3.1's scale. x is placed once:
+Thm 5.1 and the generic facts read that placement, and Prop 3.1 its P(x).
 
 Covered cases:
 
@@ -146,7 +146,7 @@ def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
 
 def _cone_cases(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
                 tol: float, nv=None, placed=None) -> DerivativeResult:
-    place = (placed or cone._locate(x, tol))[0]
+    place = (cone._locate(x, tol) if placed is None else placed)[0]
     if place <= 0 and cone._contains(v, tol):
         return DerivativeResult(True, "Thm5.1(i)", v)
     if cone._dual_contains(x, tol) and cone._dual_contains(v, tol):
@@ -208,7 +208,7 @@ def _adapted(rule, s, x, v, tol: float) -> DerivativeResult:
 def _generic_facts(s, x, v, tol: float, nv: float, placed=None) -> DerivativeResult:
     if getattr(s, "is_singleton", False):
         return DerivativeResult(True, "Lem3.2", zeros_like(v))
-    place, formed = placed or s._locate(x, tol)  # x's placement, if the caller holds it
+    place, formed = s._locate(x, tol) if placed is None else placed  # x's placement, if the caller holds it
     if place < 0:
         return DerivativeResult(True, "Prop3.3", v)
     if place == 0:

@@ -4,19 +4,19 @@ Five set variants are supported: closed balls, the positive cone of a
 truncated orthonormal basis, spans of orthonormal generators, and the two
 Bochner constructions (pointwise positive cone, subspace of constant
 functions). Each variant is a class that owns its rules as private methods:
-projection, one placement ``_locate`` (-1 interior, 0 boundary, 1 outside)
-that membership and the interior test read (internal points have the singleton
-inverse image {y}, cuticle points a larger one), inverse-image membership in
-closed form, the facts behind Lem 3.1 and Prop 3.2, member sampling, the slack
-of the sampled variational inequality (1e-9 r^2 on a ball, 1e-9 elsewhere) and
-the oracle's test pairs, drawn over the case regions of Thm 4.1 and Thm 5.1
-with margins relative to the radius. The public functions (:func:`project`,
-:func:`distance`, :func:`project_sequence`, :func:`contains`, ...) delegate to
-them. A single projection or distance forms one array: the ball's one
-pull-back scales and shifts x - c in place into P(x), and the distance shares
-it, then subtracts P(x) from x in place; the cone clips, and a distance takes
-min(x, 0), x - P(x) up to signs of zero; the span takes one product, and
-subtracts x from it. A ball or cone distance works in ``core._scratch``.
+projection, one placement ``_locate`` per argument (-1 interior, 0 boundary, 1
+outside, and what it formed, a ball's x - c and its norm or a span's P(x), for
+``_project`` and ``_inverse_member`` to take back: no query places a point
+twice), closed-form inverse-image membership (internal points have the inverse
+image {y}, cuticle points a larger one), the facts behind Lem 3.1 and Prop 3.2,
+member sampling, the variational slack (1e-9 r^2 on a ball, 1e-9 elsewhere) and
+the oracle's test pairs over the case regions of Thm 4.1 and Thm 5.1, with
+margins relative to the radius. The public functions delegate to them. A single
+projection or distance forms one array: the ball's pull-back scales and shifts
+x - c in place into P(x), which the distance subtracts from x in place; the
+cone clips, and its distance takes min(x, 0), x - P(x) up to signs of zero; the
+span takes one product, and subtracts x from it. A ball or cone distance works
+in ``core._scratch``.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
@@ -40,9 +40,9 @@ the weights and names the flat set whose rules then run on the flat points:
 the positive cone of the k*d coordinates for the pointwise cone (its rules
 ignore the weights), and the constants themselves, whose rules take one
 mu-weighted expectation kernel. A ball, cone or span argument, of a query, a
-projection or a paper helper, passes the same door before any of it is read:
-a non-point or a wrong dimension gets one text, then two weightings are turned
-away. A ball's centre and a span's generators check their weighting.
+projection or a paper helper, passes the same door, ``_Rules._flat_args``, before
+any of it is read: a non-point or a wrong dimension gets one text, then two
+weightings are turned away. A centre and generators check their own weighting.
 """
 
 from __future__ import annotations
@@ -557,7 +557,7 @@ class SubspaceSpan(_Rules):
         return (rows if w is None else rows * w) @ self._basis.T
 
     def _project(self, x, u=None):
-        return span_component(*self._flat_args(x)) if u is None else _trusted(u, x.weights)
+        return span_component(self, self._flat_args(x)[1]) if u is None else _trusted(u, x.weights)
 
     def _distance(self, x) -> float:
         u = self._component(self._flat_args(x)[1])
