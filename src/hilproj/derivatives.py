@@ -11,8 +11,8 @@ Every derivative, :func:`classify_direction` and ``fd_derivative`` check
 ``tol``, then the set's door (the space, per-atom dimension and weights of a
 Bochner argument; the dimension and one weighting of ball, cone or span
 arguments), then that the direction is nonzero, in ``sets._flat_direction``.
-Its ||v|| is handed on to Prop 3.1 and to Lem 3.1's scale. x is placed once:
-Thm 5.1 and the generic facts read that placement, and Prop 3.1 its P(x).
+Its ||v|| is handed on to Prop 3.1 and to Lem 3.1's scale. x is placed at most
+once: Thm 5.1 and the generic facts read that placement, and Prop 3.1 its P(x).
 
 Covered cases:
 
@@ -145,7 +145,7 @@ def cone_derivative(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
 
 
 def _cone_cases(cone: PositiveCone, x: HilbertPoint, v: HilbertPoint,
-                tol: float, nv=None, placed=None) -> DerivativeResult:
+                tol: float, nv: float, placed=None) -> DerivativeResult:
     place = (cone._locate(x, tol) if placed is None else placed)[0]
     if place <= 0 and cone._contains(v, tol):
         return DerivativeResult(True, "Thm5.1(i)", v)
@@ -243,12 +243,11 @@ def _clauses(s, x, v, tol: float, nv: float) -> DerivativeResult:
     if isinstance(s, BochnerConstantSubspace):
         # the projection onto the constants is affine, so P'(x)(h) = P(h)
         return DerivativeResult(True, "Thm7.2", s._project(v))
-    placed = s._locate(x, tol)  # the cone's Thm 5.1 cases and the generic facts read it
-    if isinstance(s, PositiveCone):
-        result = _cone_cases(s, x, v, tol, nv, placed)
-        if result.covered:
-            return result
-    return _generic_facts(s, x, v, tol, nv, placed)
+    if not isinstance(s, PositiveCone):
+        return _generic_facts(s, x, v, tol, nv)  # a singleton span's Lem 3.2 places nothing
+    placed = s._locate(x, tol)  # the cone's Thm 5.1 cases and its generic facts read it
+    result = _cone_cases(s, x, v, tol, nv, placed)
+    return result if result.covered else _generic_facts(s, x, v, tol, nv, placed)
 
 
 def derivative(s, x, v, tol: float = DEFAULT_TOL) -> DerivativeResult:

@@ -40,7 +40,7 @@ the weights and names the flat set whose rules then run on the flat points:
 the positive cone of the k*d coordinates for the pointwise cone (its rules
 ignore the weights), and the constants themselves, whose rules take one
 mu-weighted expectation kernel. A ball, cone or span argument, of a query, a
-projection or a paper helper, passes the same door, ``_Rules._flat_args``, before
+projection or a paper helper, passes the same door, :func:`_flat_form`, before
 any of it is read: a non-point or a wrong dimension gets one text, then two
 weightings are turned away. A centre and generators check their own weighting.
 """
@@ -256,13 +256,14 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
 
 class _Rules:
     """What every set shares: the door, and membership and the interior test read from its one
-    placement ``_locate(x, tol)``, the pair (-1 interior, 0 boundary, 1 outside; what it formed
-    that ``_project`` and ``_inverse_member`` take back: a ball's x - c and norm, a span's P(x))."""
+    placement ``_locate(x, tol)``, the pair (-1 interior, 0 boundary, 1 outside; what it formed that
+    ``_inverse_member`` and ``_project`` take back: a span's P(x), a ball's x - c and norm, the
+    x - c array that ``_project`` overwrites with P(x), so nothing reads it after)."""
 
     _vi_slack = VI_SLACK
 
     def _flat_args(self, *points) -> tuple:
-        """(self, *points) after the door: each a point of the set's dimension, then one weighting."""
+        """_flat_form's (self, *points): each a point of the set's dimension, then one weighting."""
         dim = self.dim
         for p in points:
             if getattr(p, "dim", None) != dim:
@@ -320,7 +321,7 @@ class ClosedBall(_Rules):
     def _check(self, x):
         """x's dimension as the door tests it, then its weighting against the centre's."""
         if getattr(x, "dim", None) != self.center.dim or not same_weights(x, self.center):
-            _check_compatible(self._flat_args(x)[1], self.center)
+            _check_compatible(_flat_form(self, x)[1], self.center)
 
     def _offset(self, x, out=None) -> tuple:
         """(x - c, ||x - c||) after _check(x), in out if given: a finite norm proves x - c finite."""
@@ -329,7 +330,7 @@ class ClosedBall(_Rules):
         return diff, _finite_norm(x.weights, diff)
 
     def _pull_back(self, x, at=None):
-        """P(x) in the array of x - c, at = _offset(x) if given; None when P(x) is x."""
+        """P(x) over the x - c array of at = _offset(x) if given, spending it; None when P(x) is x."""
         # c + (r/d)(x - c) formed in the one array x - c: scaled, then shifted,
         # in place; s*diff + c rounds as c + s*diff does. No scan of the result:
         # outside the band s = r/d < 1, so each c_i + s*diff_i lies between c_i
@@ -376,9 +377,9 @@ class ClosedBall(_Rules):
         at = self._offset(x)
         return self._place(at[1], tol), at
 
-    def _inverse_member(self, y, x, tol: float, at=None) -> bool:
-        # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c)
-        d, dist = self._offset(y) if at is None else at
+    def _inverse_member(self, y, x, tol: float, at) -> bool:
+        # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c); at = _offset(y)
+        d, dist = at
         w, r = x.coeffs - y.coeffs, self.radius
         t = 0.0
         if self._place(dist, tol) >= 0:
@@ -393,7 +394,7 @@ class ClosedBall(_Rules):
         # w - t d is finite only if w and t d are, so its lazy norm stands for their scans
         return t >= -tol and _finite_norm(x.weights, w - t * d) <= tol * r
 
-    def _segment_direction(self, x, v, tol: float, nv=None) -> bool:
+    def _segment_direction(self, x, v, tol: float, nv: float) -> bool:
         # a sphere point is an extreme point: it lies on no segment of the ball
         return False
 
@@ -438,14 +439,14 @@ class PositiveCone(_Rules):
 
     def _project(self, x, formed=None):
         # the clip of a checked point is finite
-        return _proven(clip_nonnegative(self._flat_args(x)[1].coeffs), x.weights)
+        return _proven(clip_nonnegative(_flat_form(self, x)[1].coeffs), x.weights)
 
     def _distance(self, x) -> float:
-        self._flat_args(x)
+        _flat_form(self, x)
         return _finite_norm(x.weights, np.minimum(x.coeffs, 0.0, out=_scratch(x.dim)))
 
     def _project_rows(self, xs) -> list:
-        rows = clip_nonnegative(_gather(self, xs, self._flat_args))
+        rows = clip_nonnegative(_gather(self, xs, lambda x: _flat_form(self, x)))
         rows.setflags(write=False)  # the clip of checked points is finite
         return _trusted_rows(rows, (x.weights for x in xs))
 
@@ -557,10 +558,10 @@ class SubspaceSpan(_Rules):
         return (rows if w is None else rows * w) @ self._basis.T
 
     def _project(self, x, u=None):
-        return span_component(self, self._flat_args(x)[1]) if u is None else _trusted(u, x.weights)
+        return span_component(self, _flat_form(self, x)[1]) if u is None else _trusted(u, x.weights)
 
     def _distance(self, x) -> float:
-        u = self._component(self._flat_args(x)[1])
+        u = self._component(_flat_form(self, x)[1])
         return _finite_norm(x.weights, np.subtract(x.coeffs, u, out=u))
 
     def _component(self, x) -> np.ndarray:
@@ -581,13 +582,13 @@ class SubspaceSpan(_Rules):
         dist = _finite_norm(x.weights, np.subtract(x.coeffs, u, out=_scratch(self.dim)))
         return (-self.is_full if dist <= tol else 1), u
 
-    def _inverse_member(self, y, x, tol: float, formed=None) -> bool:
+    def _inverse_member(self, y, x, tol: float, formed) -> bool:
         """x - y orthogonal to every generator: max |G W (x - y)| <= tol."""
         return bool(np.max(np.abs(self._coords(_finite(x.coeffs - y.coeffs))), initial=0.0) <= tol)
 
-    def _segment_direction(self, x, v, tol: float, nv=None) -> bool:
-        """Whether v lies in the span, relative to its size ||v|| (nv, when known)."""
-        return self._contains(v, tol * max(1.0, norm(v) if nv is None else nv))
+    def _segment_direction(self, x, v, tol: float, nv: float) -> bool:
+        """Whether v lies in the span, relative to its size nv = ||v||."""
+        return self._contains(v, tol * max(1.0, nv))
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         return rng.uniform(-4.0, 4.0, (n, self.n_generators)) @ self._basis, self._weights
@@ -733,7 +734,7 @@ class BochnerConstantSubspace(_BochnerSet):
         k = self.space.n_atoms
         return (-(k == 1) if self._spread(x.coeffs.reshape(k, -1)) <= tol else 1), None
 
-    def _inverse_member(self, y, x, tol: float, formed=None) -> bool:
+    def _inverse_member(self, y, x, tol: float, formed) -> bool:
         k = self.space.n_atoms
         means = bo._mean(self.space.weights, np.stack([x.coeffs, y.coeffs]).reshape(2, k, -1))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
@@ -783,7 +784,7 @@ def is_bochner_set(s) -> bool:
 
 
 def _flat_form(s, *points) -> tuple:
-    """(flat set, flat points): a Bochner set flattens; a flat set checks points, dimension, weights."""
+    """The door, the one name its callers use: (flat set, flat points) from the set's _flat_args."""
     return s._flat_args(*points)
 
 

@@ -13,8 +13,11 @@ test pins how often one query runs them:
   the generic facts, so only x and v are placed;
 * a span ``derivative`` reads Prop 3.1's x - P(x) from the placement that
   decided "outside", and both Prop 3.1 and Lem 3.1 read the ||v|| that the
-  door computed.
+  door computed;
+* a singleton span answers Lem 3.2 without placing x at all.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -99,3 +102,12 @@ def test_the_span_reads_the_doors_norm_of_a_segment_direction(calls):
     assert result.case_tag == "Lem3.1"
     assert calls["norm"] == 1
     assert calls["_component"] == 2  # x once, v once
+
+
+def test_a_singleton_span_answers_without_placing_x(calls):
+    # Lem 3.2 reads nothing of x, so a point whose norm overflows passes quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = derivative(SubspaceSpan((), ambient_dim=2), pt(1e200, 1e200), pt(1.0, 0.0))
+    assert result.case_tag == "Lem3.2"
+    assert calls["_component"] == 0
