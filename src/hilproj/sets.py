@@ -5,8 +5,8 @@ truncated orthonormal basis, spans of orthonormal generators, and the two
 Bochner constructions (pointwise positive cone, subspace of constant
 functions). Each variant is a class that owns its rules as private methods:
 projection, one placement ``_locate`` per argument (-1 interior, 0 boundary, 1
-outside, and what it formed, a ball's x - c and its norm or a span's P(x), for
-``_project`` and ``_inverse_member`` to take back: no query places a point
+outside, and what it formed: a ball's x - c and norm, a span's P(x); ``_project``
+takes that back and ``_inverse_member`` the pair: no query places a point
 twice), closed-form inverse-image membership (internal points have the inverse
 image {y}, cuticle points a larger one), the facts behind Lem 3.1 and Prop 3.2,
 member sampling, the variational slack (1e-9 r^2 on a ball, 1e-9 elsewhere) and
@@ -257,8 +257,8 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
 class _Rules:
     """What every set shares: the door, and membership and the interior test read from its one
     placement ``_locate(x, tol)``, the pair (-1 interior, 0 boundary, 1 outside; what it formed that
-    ``_inverse_member`` and ``_project`` take back: a span's P(x), a ball's x - c and norm, the
-    x - c array that ``_project`` overwrites with P(x), so nothing reads it after)."""
+    ``_project`` takes back: a span's P(x), a ball's x - c and norm, the x - c array that ``_project``
+    overwrites with P(x), so nothing reads it after); ``_inverse_member`` reads y's pair whole."""
 
     _vi_slack = VI_SLACK
 
@@ -377,12 +377,12 @@ class ClosedBall(_Rules):
         at = self._offset(x)
         return self._place(at[1], tol), at
 
-    def _inverse_member(self, y, x, tol: float, at) -> bool:
-        # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c); at = _offset(y)
-        d, dist = at
+    def _inverse_member(self, y, x, tol: float, placed) -> bool:
+        # y inside has the inverse image {y}; y on the sphere the ray y + t(y - c); placed = _locate(y)
+        place, (d, _) = placed
         w, r = x.coeffs - y.coeffs, self.radius
         t = 0.0
-        if self._place(dist, tol) >= 0:
+        if place >= 0:
             g = _dot(x.weights, w, d)
             if not math.isfinite(g):  # only then can w = x - y be non-finite: raise as a point would
                 _finite_norm(x.weights, w)
@@ -458,7 +458,7 @@ class PositiveCone(_Rules):
         """Every coordinate at most tol: membership in the dual cone."""
         return bool(x.coeffs.max() <= tol)
 
-    def _inverse_member(self, y, x, tol: float, formed=None) -> bool:
+    def _inverse_member(self, y, x, tol: float, placed=None) -> bool:
         """x agrees with y where y > tol and is at most tol everywhere else."""
         positive = y.coeffs > tol
         return not ((np.abs(x.coeffs[positive] - y.coeffs[positive]) > tol).any()
@@ -582,7 +582,7 @@ class SubspaceSpan(_Rules):
         dist = _finite_norm(x.weights, np.subtract(x.coeffs, u, out=_scratch(self.dim)))
         return (-self.is_full if dist <= tol else 1), u
 
-    def _inverse_member(self, y, x, tol: float, formed) -> bool:
+    def _inverse_member(self, y, x, tol: float, placed) -> bool:
         """x - y orthogonal to every generator: max |G W (x - y)| <= tol."""
         return bool(np.max(np.abs(self._coords(_finite(x.coeffs - y.coeffs))), initial=0.0) <= tol)
 
@@ -734,7 +734,7 @@ class BochnerConstantSubspace(_BochnerSet):
         k = self.space.n_atoms
         return (-(k == 1) if self._spread(x.coeffs.reshape(k, -1)) <= tol else 1), None
 
-    def _inverse_member(self, y, x, tol: float, formed) -> bool:
+    def _inverse_member(self, y, x, tol: float, placed) -> bool:
         k = self.space.n_atoms
         means = bo._mean(self.space.weights, np.stack([x.coeffs, y.coeffs]).reshape(2, k, -1))
         return float(np.linalg.norm(means[0] - means[1])) <= tol
@@ -872,10 +872,10 @@ def in_inverse_image(s, y, x, sample_budget: int = 0, tol: float = DEFAULT_TOL, 
     if sample_budget < 0:
         raise ValueError("sample_budget must be nonnegative")
     flat, fy, fx = _flat_form(s, y, x)
-    place, formed = flat._locate(fy, tol)  # y's one placement: membership, then the rule reads it
-    if place > 0:
+    placed = flat._locate(fy, tol)  # y's one placement: membership, then the rule reads it
+    if placed[0] > 0:
         raise NotInSet("candidate image point must belong to the set")
-    exact = flat._inverse_member(fy, fx, tol, formed)
+    exact = flat._inverse_member(fy, fx, tol, placed)
     if not exact or sample_budget <= 0:
         return exact
     rng = np.random.default_rng(0) if rng is None else rng

@@ -6,7 +6,7 @@ Counting wrappers stand in for the set placements (``ClosedBall._offset``,
 test pins how often one query runs them:
 
 * ``in_inverse_image`` on a ball forms y - c and its norm once, and reads
-  the placement that decided membership for the ray test;
+  the placement that decided membership, its place too, for the ray test;
 * ``generic_facts_derivative`` off a ball places x once and reads x - P(x)
   from that placement;
 * an uncovered cone ``derivative`` hands the Thm 5.1 placement of x on to
@@ -55,7 +55,8 @@ def calls(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    for cls, name in ((ClosedBall, "_offset"), (SubspaceSpan, "_component"), (PositiveCone, "_locate")):
+    for cls, name in ((ClosedBall, "_offset"), (ClosedBall, "_place"), (SubspaceSpan, "_component"),
+                      (PositiveCone, "_locate")):
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
     for name in ("_dot", "norm"):
         wrapper = counted(name, getattr(hilproj.core, name))
@@ -74,6 +75,12 @@ def test_a_ball_places_the_image_point_once(calls):
     assert in_inverse_image(BALL, pt(1.0, 0.0), pt(2.0, 0.0)) is True
     assert calls["_offset"] == 1
     assert calls["_dot"] == 3
+
+
+@pytest.mark.parametrize("y", [pt(1.0, 0.0), pt(0.5, 0.0)], ids=["sphere", "interior"])
+def test_a_ball_takes_the_sphere_test_of_the_image_point_once(calls, y):
+    assert in_inverse_image(BALL, y, y + pt(1.0, 0.0)) is bool(y.coeffs[0] == 1.0)
+    assert calls["_place"] == 1
 
 
 def test_the_generic_facts_place_a_point_off_a_ball_once(calls):
