@@ -37,26 +37,6 @@ from .errors import (
     WeightMismatch,
 )
 
-__all__ = [
-    "BochnerFunction",
-    "DiscreteProbabilitySpace",
-    "OrthonormalSystemReport",
-    "bochner_distance",
-    "bochner_inner",
-    "bochner_norm",
-    "check_same",
-    "constant_function",
-    "expectation",
-    "find_half_measure_subset",
-    "flat_weights",
-    "flatten",
-    "isometric_embedding",
-    "orthonormal_system_report",
-    "simple_function",
-    "subset_measure",
-    "unflatten",
-]
-
 _WEIGHT_SUM_TOL = 1e-12
 _SUBSET_SEARCH_LIMIT = 22
 
@@ -330,3 +310,6 @@ def bochner_distance(f: BochnerFunction, g: BochnerFunction) -> float:
     check_same(f, g)
     diff = [_norm(None, row) ** 2 for row in f.array - g.array]
     return float(np.sqrt(max(np.dot(f.space.weights, diff), 0.0)))
+
+
+__all__ = sorted(n for n, obj in globals().items() if n[0] != "_" and getattr(obj, "__module__", None) == __name__)

@@ -17,36 +17,22 @@ computing coefficients loads scipy.
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
 
 from .core import HilbertPoint
 
-__all__ = [
-    "basis_function",
-    "evaluate",
-    "trig_coefficients",
-]
-
-_LIMIT = 200  # panels at most, as quad's limit=200, so that every func terminates
-_REL = 1e-13  # a panel's error bound, relative to int |func| / sqrt(pi), which bounds every |c_k|
-
-
-@functools.cache
-def _rule() -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use."""
-    return np.polynomial.legendre.leggauss(20)
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)  # the 20-point rule on [-1, 1]
 
 
 def _rows(n_terms: int, t) -> np.ndarray:
     """e_0(t), ..., e_{n_terms-1}(t), one row each over the shape of t."""
-    mt = np.multiply.outer(np.arange(1, n_terms // 2 + 1), np.asarray(t, dtype=np.float64))
-    rows = np.empty((n_terms,) + mt.shape[1:])
+    t = np.asarray(t, dtype=np.float64)
+    k = np.arange(n_terms).reshape((-1,) + (1,) * t.ndim)
+    mt = (k + 1) // 2 * t  # m t, for e_{2m-1} = cos(m t) and e_{2m} = sin(m t), over sqrt(pi)
+    rows = np.where(k % 2 == 1, np.cos(mt), np.sin(mt)) / np.sqrt(np.pi)
     rows[:1] = 1.0 / np.sqrt(2.0 * np.pi)  # a slice, so no terms gives no rows
-    rows[1::2] = np.cos(mt) / np.sqrt(np.pi)
-    rows[2::2] = np.sin(mt[: (n_terms - 1) // 2]) / np.sqrt(np.pi)
     return rows
 
 
@@ -55,19 +41,6 @@ def basis_function(index: int):
     if index < 0:
         raise ValueError("basis index must be nonnegative")
     return lambda t: _rows(index + 1, t)[index]
-
-
-def _panels(func, n_terms: int, lo, hi) -> np.ndarray:
-    """Per panel [lo_i, hi_i], the rule's integral of |func|, then those of func e_k."""
-    nodes, weights = _rule()
-    half = (hi - lo)[:, None] / 2
-    ts = (lo[:, None] + half) + half * nodes
-    # func takes one scalar t per node, as scipy's quad calls it, so math.cos works
-    wf = np.fromiter(map(func, ts.ravel().tolist()), np.float64, ts.size).reshape(ts.shape)
-    if not np.isfinite(wf).all():
-        raise ValueError("coeffs must be finite")
-    wf *= half * weights
-    return np.column_stack([np.abs(wf).sum(axis=1), (_rows(n_terms, ts) * wf).sum(axis=-1).T])
 
 
 def trig_coefficients(func, n_terms: int) -> HilbertPoint:
@@ -80,18 +53,27 @@ def trig_coefficients(func, n_terms: int) -> HilbertPoint:
     """
     if n_terms < 1:
         raise ValueError("n_terms must be a positive integer")
-    lo, hi = np.array([-np.pi]), np.array([np.pi])
-    coarse, kept, count = _panels(func, n_terms, lo, hi), np.zeros(n_terms + 1), 1
+    # [-pi, pi] is compared with nothing, so always halved; a round evaluates the open panels' halves
+    lo, hi, coarse = np.array([-np.pi]), np.array([np.pi]), np.inf
+    kept, count = np.zeros(n_terms + 1), 1
     while lo.size:
         mid = (lo + hi) / 2
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])  # the left halves, then the right
-        halves = _panels(func, n_terms, lo, hi)
+        half = (hi - lo)[:, None] / 2
+        ts = (lo[:, None] + half) + half * _NODES
+        # func takes one scalar t per node, as scipy's quad calls it, so math.cos works
+        wf = np.fromiter(map(func, ts.ravel().tolist()), np.float64, ts.size).reshape(ts.shape)
+        if not np.isfinite(wf).all():
+            raise ValueError("coeffs must be finite")
+        wf *= half * _WEIGHTS
+        # per half: int |func| / 8, finite as int |func| <= 2 pi max |func| is not; then int func e_k
+        halves = np.column_stack([np.abs(wf / 8).sum(axis=1), (_rows(n_terms, ts) * wf).sum(axis=-1).T])
         fine = halves[: mid.size] + halves[mid.size :]
-        size = (kept[0] + fine[:, 0].sum()) / np.sqrt(np.pi)
-        split = np.abs(fine - coarse)[:, 1:].max(axis=1) > _REL * size
+        # the coefficients' size is int |func| / sqrt(pi), which bounds every |c_k|
+        split = np.abs(fine - coarse)[:, 1:].max(axis=1) > 8e-13 / np.sqrt(np.pi) * (kept[0] + fine[:, 0].sum())
         count += split.sum()
-        if count > _LIMIT:
-            warnings.warn(f"trig_coefficients stopped at {_LIMIT} panels, above its error bound",
+        if count > 200:  # as quad's limit=200, so that every func terminates
+            warnings.warn("trig_coefficients stopped at 200 panels, above its error bound",
                           RuntimeWarning, stacklevel=2)
             split[:] = False
         kept += fine[~split].sum(axis=0)
@@ -102,3 +84,6 @@ def trig_coefficients(func, n_terms: int) -> HilbertPoint:
 def evaluate(coeffs: HilbertPoint, ts) -> np.ndarray:
     """Evaluate the truncated series sum_k c_k e_k at the given points."""
     return np.tensordot(coeffs.coeffs, _rows(coeffs.dim, ts), axes=1)
+
+
+__all__ = sorted(n for n, obj in globals().items() if n[0] != "_" and getattr(obj, "__module__", None) == __name__)

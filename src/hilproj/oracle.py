@@ -53,13 +53,6 @@ from .sets import (  # random_point and cone_region_point: importable from here 
     sphere_direction,
 )
 
-__all__ = [
-    "OracleEstimate",
-    "fd_derivative",
-    "property_battery",
-    "variational_certificate",
-]
-
 _STEPS = 2.0 ** -np.arange(4.0, 27.0)
 
 
@@ -173,3 +166,6 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
          "failures": sum(r > _THRESHOLDS[name] for r in rs), "worst_residual": max(rs)}
         for name, rs in floored.items()
     ]
+
+
+__all__ = sorted(n for n, obj in globals().items() if n[0] != "_" and getattr(obj, "__module__", None) == __name__)

@@ -907,20 +907,15 @@ def orthogonal_cone(subspace: SubspaceSpan, ambient_dim: int) -> SubspaceSpan:
         raise DimensionMismatch(
             f"generators have dimension {subspace.dim}, ambient is {ambient_dim}"
         )
-    k = subspace.n_generators
-    if k == 0:
-        eye = np.eye(n)
-        return SubspaceSpan(tuple(HilbertPoint(eye[i]) for i in range(n)))
+    if subspace.is_singleton:
+        return SubspaceSpan(tuple(_points_from_rows(np.eye(n))))
     # the trailing right singular vectors of G sqrt(W), each divided by
     # sqrt(W), are orthonormal and orthogonal to the span in the weighted product
     weights = subspace._weights
     root = np.ones(n) if weights is None else np.sqrt(weights)
     _, sv, vt = np.linalg.svd(subspace._basis * root)
     rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
-    gens = tuple(HilbertPoint(v / root, weights) for v in vt[rank:])
-    if not gens:
-        return SubspaceSpan((), ambient_dim=n)
-    return SubspaceSpan(gens)
+    return SubspaceSpan(tuple(HilbertPoint(v / root, weights) for v in vt[rank:]), ambient_dim=n)
 
 
 def cone_inverse_translation_check(

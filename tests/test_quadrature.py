@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,10 @@ from scipy.integrate import quad
 from hilproj import HilbertPoint, basis_function, evaluate, trig_coefficients
 
 N_TERMS = 7
-# a whole-interval panel, its halves, then at most 2 * 199 panels' halves,
-# each panel 20 Gauss-Legendre nodes, before the 200-panel cap stops the pass
-MAX_CALLS = 20 * (1 + 2 + 4 * 199)
+# the halves of the whole interval, then the halves of both halves of at most
+# 199 split panels (the whole interval one of them), each 20 Gauss-Legendre
+# nodes, before the 200-panel cap stops the pass
+MAX_CALLS = 20 * (2 + 4 * 199)
 
 SMOOTH = {
     "one": lambda t: 1.0,
@@ -99,12 +101,28 @@ def test_a_nan_valued_func_raises_at_once():
     g, calls = counted(lambda t: math.nan)
     with pytest.raises(ValueError, match="coeffs must be finite"):
         trig_coefficients(g, N_TERMS)
-    assert calls[0] == 20  # the first panel's nodes
+    assert calls[0] == 40  # the nodes of the first round, on the halves of [-pi, pi]
 
 
 def test_an_infinite_value_past_the_first_panel_raises():
     with pytest.raises(ValueError, match="coeffs must be finite"):
         trig_coefficients(lambda t: math.inf if 1.0 < t < 1.1 else 1.0 / (t - 1.0) ** 2, 3)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda t: 5e307, {0: 5e307 * math.sqrt(2.0 * math.pi)}),
+    (lambda t: 1e308 * math.sin(t), {2: 1e308 * math.sqrt(math.pi)}),
+    (lambda t: 5e307 * math.cos(20.0 * t), {39: 5e307 * math.sqrt(math.pi)}),
+], ids=["constant", "sin", "cos_20t"])
+def test_an_integrand_whose_integral_of_abs_overflows(f, exact):
+    # int |func| passes the largest double, every coefficient is finite: the bound
+    # stays finite, so no overflow warning and no panel accepted unchecked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trig_coefficients(f, 41).coeffs
+    ref = np.zeros(41)
+    ref[list(exact)] = list(exact.values())
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("f", [lambda t: 1.0 / abs(t - 1.0), lambda t: math.sin(1.0 / (t - 1.0))],
