@@ -6,6 +6,8 @@ library's pass must agree with it to 1e-12 of the coefficients' size on
 smooth integrands and to 1e-10 on non-smooth ones, where it must also be no
 worse than quad at its default tolerances. Integrands that never settle
 stop at the panel cap with a RuntimeWarning after a bounded number of calls.
+Integrands near the largest double, whose integral of |f| overflows though
+every coefficient is finite, are checked against their exact coefficients.
 """
 
 import math
@@ -97,10 +99,15 @@ def test_func_is_called_with_python_floats():
     assert seen == {float}
 
 
-def test_a_nan_valued_func_raises_at_once():
-    g, calls = counted(lambda t: math.nan)
-    with pytest.raises(ValueError, match="coeffs must be finite"):
-        trig_coefficients(g, N_TERMS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_func_raises_at_once(value):
+    # before any sum: an infinite value summed with the basis rows' both signs would
+    # make inf - inf, numpy's invalid-value warning, instead of this ValueError
+    g, calls = counted(lambda t: value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            trig_coefficients(g, N_TERMS)
     assert calls[0] == 40  # the nodes of the first round, on the halves of [-pi, pi]
 
 
