@@ -66,10 +66,10 @@ def trig_coefficients(func, n_terms: int) -> HilbertPoint:
         if not np.isfinite(wf).all():
             raise ValueError("coeffs must be finite")
         wf *= half * _WEIGHTS
-        # per half: int |func| / 8, finite as int |func| <= 2 pi max |func| is not; then int func e_k
+        # per half: int |func| / 8, finite even where int |func| (at most 2 pi max |func|) is not; then int func e_k
         halves = np.column_stack([np.abs(wf / 8).sum(axis=1), (_rows(n_terms, ts) * wf).sum(axis=-1).T])
         fine = halves[: mid.size] + halves[mid.size :]
-        # the coefficients' size is int |func| / sqrt(pi), which bounds every |c_k|
+        # 1e-13 of the coefficients' size int |func| / sqrt(pi), which bounds every |c_k|; 8 undoes the scale
         split = np.abs(fine - coarse)[:, 1:].max(axis=1) > 8e-13 / np.sqrt(np.pi) * (kept[0] + fine[:, 0].sum())
         count += split.sum()
         if count > 200:  # as quad's limit=200, so that every func terminates
