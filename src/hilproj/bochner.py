@@ -68,7 +68,7 @@ class DiscreteProbabilitySpace:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_flat_weights", {})  # per-atom dimension -> flat_weights
+        object.__setattr__(self, "_kept", {})  # what _kept builds once: flat weights, flat sets
 
     @property
     def n_atoms(self) -> int:
@@ -105,9 +105,8 @@ class BochnerFunction:
         dims = {v.dim for v in values}
         if len(dims) != 1:
             raise ValueError("per-atom values must share one dimension")
-        for v in values:
-            if v.weights is not None:
-                raise ValueError("per-atom values must be unweighted")
+        if any(v.weights is not None for v in values):
+            raise ValueError("per-atom values must be unweighted")
         array = np.concatenate([v.coeffs for v in values]).reshape(len(values), -1)
         array.setflags(write=False)
         self.__dict__.update(space=space, array=array)
@@ -187,15 +186,16 @@ def bochner_norm(f: BochnerFunction) -> float:
     return float(np.sqrt(max(bochner_inner(f, f), 0.0)))
 
 
-def _mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _mean(space: DiscreteProbabilitySpace, values: np.ndarray) -> np.ndarray:
     """E over the atom axis, (..., k, d) -> (..., d), summed atom by atom."""
-    terms = weights[:, None] * values
-    return np.add.accumulate(terms, axis=-2)[..., -1, :]
+    k, d = values.shape[-2:]  # the weights as one kept (k, d) array: no broadcast along d
+    w = _kept(space, (_mean, d), lambda: np.repeat(space.weights, d).reshape(k, d))
+    return np.add.accumulate(w * values, axis=-2)[..., -1, :]
 
 
 def expectation(f: BochnerFunction) -> HilbertPoint:
     """E(f) = sum_s mu(s) f(s), an unweighted point of dimension d."""
-    return _trusted(_mean(f.space.weights, f.array), None)
+    return _trusted(_mean(f.space, f.array), None)
 
 
 def flatten(f: BochnerFunction) -> HilbertPoint:
@@ -205,12 +205,19 @@ def flatten(f: BochnerFunction) -> HilbertPoint:
 
 def flat_weights(space: DiscreteProbabilitySpace, point_dim: int) -> np.ndarray:
     """Each atom weight repeated point_dim times, read-only: one array per space and point_dim."""
-    w = space._flat_weights.get(point_dim)
+    w = space._kept.get(point_dim)  # no builder made on this hot path, unlike _kept
     if w is None:
         w = np.repeat(space.weights, point_dim)
         w.setflags(write=False)
-        space._flat_weights[point_dim] = w
+        space._kept[point_dim] = w
     return w
+
+
+def _kept(space: DiscreteProbabilitySpace, key: tuple, build):
+    """build(), made once per space and key (user, d), and kept beside the flat weights of d."""
+    if key not in space._kept:
+        space._kept[key] = build()
+    return space._kept[key]
 
 
 def _flat_point_dim(space: DiscreteProbabilitySpace, p: HilbertPoint) -> int:

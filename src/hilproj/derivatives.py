@@ -51,19 +51,6 @@ from .core import DEFAULT_TOL, HilbertPoint, _check_tol, _dot, _finite_norm, _tr
 from .errors import NotCovered, NotOnSphere
 from .sets import BochnerConstantSubspace, ClosedBall, DirectionClass, PositiveCone, _flat_direction
 
-__all__ = [
-    "NOT_COVERED_TAG",
-    "DerivativeResult",
-    "ball_derivative",
-    "bochner_ball_derivative",
-    "classify_direction",
-    "cone_derivative",
-    "constants_subspace_derivative",
-    "derivative",
-    "generic_facts_derivative",
-    "homogeneity_check",
-]
-
 NOT_COVERED_TAG = "NotCoveredByPaper"
 
 _PARALLEL_TOL = 1e-9
@@ -185,7 +172,8 @@ def bochner_ball_derivative(f: bo.BochnerFunction, h: bo.BochnerFunction,
     _check_tol(tol)
     bo.check_same(f, h)
     fp = bo.flatten(f)
-    tag, value, side = _ball_clause(ClosedBall(zeros_like(fp), 1.0), fp, bo.flatten(h), tol)
+    ball = bo._kept(f.space, (ClosedBall, f.point_dim), lambda: ClosedBall(zeros_like(fp), 1.0))
+    tag, value, side = _ball_clause(ball, fp, bo.flatten(h), tol)
     return DerivativeResult(True, _BOCHNER_BALL_TAGS[tag][side == 0], bo.unflatten(f.space, value))
 
 
@@ -276,3 +264,7 @@ def homogeneity_check(derive, x, v, lam: float) -> bool:
         raise NotCovered("homogeneity needs both derivative calls covered")
     b = flat(base.value)
     return norm(flat(scaled.value) - lam * b) <= 1e-9 * max(1.0, lam * norm(b))
+
+
+__all__ = ["NOT_COVERED_TAG", *sorted(n for n, obj in globals().items()
+                                  if n[0] != "_" and getattr(obj, "__module__", None) == __name__)]

@@ -618,11 +618,11 @@ class _BochnerSet(_Rules):
 
     An argument is a BochnerFunction over ``space`` or its flattened point,
     whose weights repeat each atom weight d times. :meth:`_flat_args` checks
-    the arguments of a query once and returns the flat set whose rules run
-    on flat points viewing them. Projection runs on the (k, d) atom values
-    (a function's ``array``, or the flat coefficients reshaped); its result
-    is checked where it is computed, then :meth:`_like` wraps it in the
-    argument's form.
+    the arguments of a query once and returns the flat set (the cone's kept
+    per space and d) whose rules run on flat points viewing them. Projection
+    runs on the (k, d) atom values (a batch of one d as one ``np.array``) and
+    scans only what can overflow: the constants' mean, not the cone's clip.
+    :meth:`_like` makes the result read-only and wraps it in x's form.
     """
 
     space: bo.DiscreteProbabilitySpace
@@ -649,16 +649,17 @@ class _BochnerSet(_Rules):
         return (self._flat_set(d), *_trusted_rows((a.reshape(-1) for a in atoms), repeat(w)))
 
     def _like(self, x, atoms: np.ndarray):
-        """Checked read-only (k, d) atom values in the form of x: no copy, no check.
+        """Checked (k, d) atom values, made read-only, in the form of x: no copy, no check.
 
         A flat result views them and carries the space's one flat weights array.
         """
+        atoms.setflags(write=False)
         if isinstance(x, bo.BochnerFunction):
             return bo._function(self.space, atoms)
         return _proven(atoms.reshape(-1), bo.flat_weights(self.space, atoms.shape[1]))
 
     def _project(self, x, formed=None):
-        return self._like(x, _finite(self._project_atoms(self._atoms(x))))
+        return self._like(x, self._project_atoms(self._atoms(x)))
 
     def _distance(self, x) -> float:
         return _gap(x, self._project(x))
@@ -668,7 +669,7 @@ class _BochnerSet(_Rules):
         atoms = _check_each(xs, self._atoms)
         if any(a.shape[1] != atoms[0].shape[1] for a in atoms):
             return [self._project(x) for x in xs]
-        values = _finite(self._project_atoms(np.stack(atoms)))
+        values = self._project_atoms(np.array(atoms))
         return [self._like(x, v) for x, v in zip(xs, values)]
 
     def _sample_dim(self, anchors) -> int:
@@ -691,10 +692,10 @@ class BochnerPointwiseCone(_BochnerSet):
     """
 
     def _flat_set(self, d: int) -> PositiveCone:
-        return PositiveCone(self.space.n_atoms * d)
+        return bo._kept(self.space, (PositiveCone, d), lambda: PositiveCone(self.space.n_atoms * d))
 
     def _project_atoms(self, values: np.ndarray) -> np.ndarray:
-        return clip_nonnegative(values)
+        return clip_nonnegative(values)  # the clip of checked values is finite: no scan
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         d = self._sample_dim(anchors)
@@ -712,22 +713,23 @@ class BochnerConstantSubspace(_BochnerSet):
     """Functions taking one common value on every atom.
 
     Every rule goes through one kernel, the mu-weighted expectation of an
-    (..., k, d) array of atom values, which :func:`hilproj.bochner.expectation`
-    also takes. Its own methods take flat points, so it is its own flat set.
+    (..., k, d) array of atom values, its weights one (k, d) array kept per
+    space and d; :func:`hilproj.bochner.expectation` takes it too. Its own
+    methods take flat points, so it is its own flat set.
     """
 
     def _flat_set(self, d: int) -> "BochnerConstantSubspace":
         return self
 
     def _project_atoms(self, values: np.ndarray) -> np.ndarray:
-        # a real (..., k, d) array, not a stride-0 broadcast, so flatten views a result
-        mean = bo._mean(self.space.weights, values)
+        # only the mean can overflow, so only it is scanned; its repeat is a real array that flatten views
+        mean = _finite(bo._mean(self.space, values))
         return np.repeat(mean[..., None, :], self.space.n_atoms, axis=-2)
 
     def _spread(self, values: np.ndarray) -> float:
         """||f - E(f)||, the distance of f to the constants."""
-        gap = values - bo._mean(self.space.weights, values)
-        return float(np.sqrt(self.space.weights @ np.sum(gap * gap, axis=1)))
+        gap = values - bo._mean(self.space, values)
+        return float(np.sqrt(self.space.weights @ np.add.reduce(gap * gap, axis=1)))
 
     def _locate(self, x, tol: float) -> tuple:
         # a member is interior only over one atom, where every function is constant
@@ -735,9 +737,8 @@ class BochnerConstantSubspace(_BochnerSet):
         return (-(k == 1) if self._spread(x.coeffs.reshape(k, -1)) <= tol else 1), None
 
     def _inverse_member(self, y, x, tol: float, placed) -> bool:
-        k = self.space.n_atoms
-        means = bo._mean(self.space.weights, np.stack([x.coeffs, y.coeffs]).reshape(2, k, -1))
-        return float(np.linalg.norm(means[0] - means[1])) <= tol
+        means = bo._mean(self.space, np.array([x.coeffs, y.coeffs]).reshape(2, self.space.n_atoms, -1))
+        return _norm(None, means[0] - means[1]) <= tol
 
     _segment_direction = SubspaceSpan._segment_direction  # whether v is constant
 
