@@ -70,6 +70,9 @@ class DiscreteProbabilitySpace:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_kept", {})  # what _kept builds once: flat weights, flat sets
 
+    def __reduce__(self):  # copies and pickles rebuild through the constructor: an empty _kept
+        return DiscreteProbabilitySpace, (self.atom_ids, self.weights)
+
     @property
     def n_atoms(self) -> int:
         return len(self.atom_ids)
@@ -110,6 +113,9 @@ class BochnerFunction:
         array = np.concatenate([v.coeffs for v in values]).reshape(len(values), -1)
         array.setflags(write=False)
         self.__dict__.update(space=space, array=array)
+
+    def __reduce__(self):  # copy.deepcopy and pickle rebuild through the constructor
+        return BochnerFunction, (self.space, self.values)
 
     @property
     def values(self) -> tuple:

@@ -44,12 +44,12 @@ from .sets import (  # random_point and cone_region_point: importable from here 
     VI_SLACK,
     _flat_direction,
     _flat_form,
+    _member_matrix,
     _min_variational_inner,
     ball_region_point,
     cone_region_point,
     project,
     random_point,
-    sample_points,
     sphere_direction,
 )
 
@@ -125,13 +125,13 @@ def property_battery(s, trials: int, seed: int = 0) -> list:
         x, _ = s._sample_pair(rng, False)
         y, _ = s._sample_pair(rng, False)
         px, py = project(s, x), project(s, y)
-        zs = sample_points(s, 8, rng, include=(px,))
-        _flat_form(s, x, y, px, py, zs[0])  # the members share one weighting
+        zs, _ = _member_matrix(s, 8, rng, (px,))  # member rows, drawn as sample_points draws them
+        _flat_form(s, x, y, px, py)  # the points share one weighting
         w, xa, pa = x.weights, x.coeffs, px.coeffs
         r, dp, dx = xa - pa, pa - py.coeffs, xa - y.coeffs
         sq = _dot(w, r, r)
-        res["variational"].append(-min(_dot(w, r, pa - z.coeffs) for z in zs))
-        res["strengthened_variational"].append(-min(_dot(w, r, xa - z.coeffs) - sq for z in zs))
+        res["variational"].append(-min(_dot(w, r, pa - z) for z in zs))
+        res["strengthened_variational"].append(-min(_dot(w, r, xa - z) - sq for z in zs))
         res["monotone"].append(_dot(w, dp, dp) - _dot(w, dp, dx))
         gap = _norm(w, dx) - _norm(w, dp)
         res["nonexpansive"].append(-gap)

@@ -12,11 +12,11 @@ image {y}, cuticle points a larger one), the facts behind Lem 3.1 and Prop 3.2,
 member sampling, the variational slack (1e-9 r^2 on a ball, 1e-9 elsewhere) and
 the oracle's test pairs over the case regions of Thm 4.1 and Thm 5.1, with
 margins relative to the radius. The public functions delegate to them. A single
-projection or distance forms one array: the ball's pull-back scales and shifts
-x - c in place into P(x), which the distance subtracts from x in place; the
-cone clips, and its distance takes min(x, 0), x - P(x) up to signs of zero; the
-span takes one product, and subtracts x from it. A ball or cone distance works
-in ``core._scratch``.
+projection forms one array: the ball's pull-back scales and shifts x - c in
+place into P(x); the cone clips; the span takes one product. A ball's distance
+forms P(x) in ``core._scratch`` and subtracts it from x in place, a cone's takes
+min(x, 0) there, x - P(x) up to signs of zero; every other set's is ``_Rules``'
+||x - P(x)||, and a span projects a batch point by point.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
@@ -39,10 +39,10 @@ classes, inverse images, derivatives, the variational certificate) passes
 the weights and names the flat set whose rules then run on the flat points:
 the positive cone of the k*d coordinates for the pointwise cone (its rules
 ignore the weights), and the constants themselves, whose rules take one
-mu-weighted expectation kernel. A ball, cone or span argument, of a query, a
-projection or a paper helper, passes the same door, :func:`_flat_form`, before
-any of it is read: a non-point or a wrong dimension gets one text, then two
-weightings are turned away. A centre and generators check their own weighting.
+mu-weighted expectation kernel. A ball, cone or span argument of a query, a
+projection or a paper helper passes the same door before any of it is read: a
+query's tol is checked first, a non-point or a wrong dimension gets one text,
+then two weightings are turned away; centres and generators check their own.
 """
 
 from __future__ import annotations
@@ -255,10 +255,10 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
 
 
 class _Rules:
-    """What every set shares: the door, and membership and the interior test read from its one
-    placement ``_locate(x, tol)``, the pair (-1 interior, 0 boundary, 1 outside; what it formed that
-    ``_project`` takes back: a span's P(x), a ball's x - c and norm, the x - c array that ``_project``
-    overwrites with P(x), so nothing reads it after); ``_inverse_member`` reads y's pair whole."""
+    """What every set shares: the door; ||x - P(x)|| and batch projection element by element, which
+    only kernels replace (the ball's and cone's distance; ball, cone and Bochner batches); membership
+    and the interior test, read from the one placement ``_locate(x, tol)``: -1 interior, 0 boundary,
+    1 outside, and what it formed for ``_project`` (a span's P(x), a ball's x - c, spent, and norm)."""
 
     _vi_slack = VI_SLACK
 
@@ -273,6 +273,12 @@ class _Rules:
             if not same_weights(points[0], p):
                 _check_compatible(points[0], p)
         return (self, *points)
+
+    def _distance(self, x) -> float:
+        return _gap(x, self._project(x))
+
+    def _project_rows(self, xs) -> list:
+        return _check_each(xs, self._project)
 
     def _contains(self, x, tol: float) -> bool:
         return self._locate(x, tol)[0] <= 0
@@ -560,10 +566,6 @@ class SubspaceSpan(_Rules):
     def _project(self, x, u=None):
         return span_component(self, _flat_form(self, x)[1]) if u is None else _trusted(u, x.weights)
 
-    def _distance(self, x) -> float:
-        u = self._component(_flat_form(self, x)[1])
-        return _finite_norm(x.weights, np.subtract(x.coeffs, u, out=u))
-
     def _component(self, x) -> np.ndarray:
         """Sum of <x, u_i> u_i as one fresh array, after x's weighting is checked."""
         if self.generators:
@@ -571,10 +573,6 @@ class SubspaceSpan(_Rules):
         elif x.dim != self.dim:
             raise DimensionMismatch(f"dimensions {x.dim} and {self.dim} differ")
         return self._coords(x.coeffs) @ self._basis
-
-    def _project_rows(self, xs) -> list:
-        # point by point: a stacked X W G^T G rounds differently from _project
-        return _check_each(xs, self._project)
 
     def _locate(self, x, tol: float) -> tuple:
         # P(x) is kept, x - P(x) normed in the work array; only the whole space has interior
@@ -660,9 +658,6 @@ class _BochnerSet(_Rules):
 
     def _project(self, x, formed=None):
         return self._like(x, self._project_atoms(self._atoms(x)))
-
-    def _distance(self, x) -> float:
-        return _gap(x, self._project(x))
 
     def _project_rows(self, xs) -> list:
         """One (n, k, d) array for a batch of one per-atom dimension; others element by element."""
@@ -784,15 +779,16 @@ def is_bochner_set(s) -> bool:
     return isinstance(getattr(s, "space", None), bo.DiscreteProbabilitySpace)
 
 
-def _flat_form(s, *points) -> tuple:
-    """The door, the one name its callers use: (flat set, flat points) from the set's _flat_args."""
+def _flat_form(s, *points, tol=...) -> tuple:
+    """The door, the one name its callers use: a given tol checked, then the set's _flat_args."""
+    if tol is not ...:
+        _check_tol(tol)
     return s._flat_args(*points)
 
 
 def _flat_direction(s, x, v, tol: float) -> tuple:
     """(flat set, flat x, flat v, ||v||) after tol, the set's form checks and v != 0, in that order."""
-    _check_tol(tol)
-    flat, fx, fv = _flat_form(s, x, v)
+    flat, fx, fv = _flat_form(s, x, v, tol=tol)
     if (nv := norm(fv)) == 0.0:
         raise ZeroDirection("direction must be nonzero")
     return flat, fx, fv, nv
@@ -839,8 +835,7 @@ def project_sequence(s, xs) -> list:
 
 def contains(s, x, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies in the set: within tol * r on a ball of radius r, within tol elsewhere."""
-    _check_tol(tol)
-    flat, fx = _flat_form(s, x)
+    flat, fx = _flat_form(s, x, tol=tol)
     return flat._contains(fx, tol)
 
 
@@ -853,8 +848,7 @@ def classify_point(s, y, tol: float = DEFAULT_TOL) -> PointClass:
     span is the singleton {theta}: a singleton's only point has inverse
     image equal to the whole space, hence cuticle.
     """
-    _check_tol(tol)
-    flat, fy = _flat_form(s, y)
+    flat, fy = _flat_form(s, y, tol=tol)
     place = flat._locate(fy, tol)[0]
     if place > 0:
         raise NotInSet("point to classify must belong to the set")
@@ -896,8 +890,7 @@ def ball_inverse_ray(ball: ClosedBall, y: HilbertPoint, t: float) -> HilbertPoin
 
 def dual_cone_contains(cone: PositiveCone, z: HilbertPoint, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the dual cone: all coordinates nonpositive."""
-    _check_tol(tol)
-    cone, z = _flat_form(cone, z)
+    cone, z = _flat_form(cone, z, tol=tol)
     return cone._dual_contains(z, tol)
 
 
@@ -927,8 +920,7 @@ def cone_inverse_translation_check(
     Membership on each side is decided by the exact cone inverse-image rule;
     the check passes when the two sides agree about x.
     """
-    _check_tol(tol)
-    cone, y, x = _flat_form(cone, y, x)
+    cone, y, x = _flat_form(cone, y, x, tol=tol)
     if not cone._contains(y, tol):
         raise NotInSet("translation vertex must lie in the cone")
     if norm(y) <= tol:
