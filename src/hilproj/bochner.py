@@ -148,7 +148,11 @@ def _function(space: DiscreteProbabilitySpace, array: np.ndarray) -> BochnerFunc
 
 
 def check_same(f: BochnerFunction, g: BochnerFunction):
-    """Require a common probability space and per-atom dimension."""
+    """Require two functions over a common probability space and per-atom dimension."""
+    for h, other in ((f, g), (g, f)):
+        if not isinstance(h, BochnerFunction):  # worded as a Bochner set words a non-function
+            k = other.space.n_atoms if isinstance(other, BochnerFunction) else "k"
+            raise DimensionMismatch(f"functions over {k} atoms got {type(h).__name__}")
     if not f.space.same_space(g.space):
         raise SpaceMismatch("functions live over different probability spaces")
     if f.point_dim != g.point_dim:

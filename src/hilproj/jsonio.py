@@ -1,14 +1,14 @@
 """JSON encoding and decoding for the wire formats.
 
-Floats are rendered with 17 significant digits so every IEEE-754 double
-round-trips bit-exactly through text; the stdlib dumper cannot customize
-float formatting, so serialization is a small recursive renderer. It tests
-the exact type for plain floats, dicts and lists before any isinstance
-check, quotes keys and strings with the C quoter json.dumps uses, and
-formats a list of plain floats with one % over the whole list; a finite
-%.17g never holds an "n", so one scan for "n" checks finiteness. Decoding
-checks a coefficient array's element types in one pass and raises
-InputError with a one-line reason, also for an oversized integer literal.
+Floats are rendered with 17 significant digits, so every double round-trips
+bit-exactly; the stdlib dumper cannot set that format. The renderer is one
+module-level recursive walk that appends to one list, compact or pretty, so a
+call leaves no reference cycle. It tests the exact type of plain floats, dicts
+and lists before any isinstance check, quotes with the C quoter json.dumps
+uses, and formats a list of plain floats with one %; a finite %.17g holds no
+"n", so one scan per rendered chunk checks finiteness. Decoding checks a
+coefficient array's element types in one pass and raises InputError with a
+one-line reason, also for an oversized integer literal.
 """
 
 from __future__ import annotations
@@ -32,36 +32,44 @@ from .sets import (
 )
 
 
-def _render(obj, pretty: bool, indent: int) -> str:
+def _render(obj, out: list, pad: str) -> None:
+    """Append obj's JSON text to out; pad is "" (compact) or the newline and indent of obj's line."""
     kind = type(obj)
     if kind is float:
-        return _finite("%.17g" % obj)
+        return out.append(_finite("%.17g" % obj))
     if kind is not dict and kind is not list:
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
+        if obj is None or obj is True or obj is False:
+            return out.append("null" if obj is None else "true" if obj else "false")
         if isinstance(obj, (int, np.integer)):
-            return str(int(obj))
+            return out.append(str(int(obj)))
         if isinstance(obj, (float, np.floating)):
-            return _finite("%.17g" % float(obj))
+            return out.append(_finite("%.17g" % float(obj)))
         if isinstance(obj, str):
-            return _quote(obj)
+            return out.append(_quote(obj))
         if not isinstance(obj, (dict, list, tuple)):
             raise TypeError(f"cannot serialize {type(obj).__name__}")
         kind = dict if isinstance(obj, dict) else list
-    brackets = "{}" if kind is dict else "[]"
     if not obj:
-        return brackets
-    pad, colon = ("  " * (indent + 1), ": ") if pretty else ("", ":")
-    sep = (",\n" if pretty else ",") + pad
+        return out.append("{}" if kind is dict else "[]")
+    inner = pad and pad + "  "
+    lead, sep = ("[" if kind is list else "{") + inner, "," + inner
     if kind is dict:
-        body = sep.join([_quote(str(k)) + colon + _render(v, pretty, indent + 1) for k, v in obj.items()])
-    elif set(map(type, obj)) == {float}:
-        body = _finite(sep.join(["%.17g"] * len(obj)) % tuple(obj))
-    else:
-        body = sep.join([_render(v, pretty, indent + 1) for v in obj])
-    return brackets[0] + ("\n" + pad + body + "\n" + "  " * indent if pretty else body) + brackets[1]
+        colon = ": " if pad else ":"
+        for k, v in obj.items():  # a plain float value is rendered here, without a call
+            if type(v) is float:
+                out.append(lead + _quote(str(k)) + colon + _finite("%.17g" % v))
+            else:
+                out.append(lead + _quote(str(k)) + colon)
+                _render(v, out, inner)
+            lead = sep
+        return out.append(pad + "}")
+    if set(map(type, obj)) == {float}:
+        return out.append(lead + _finite(sep.join(["%.17g"] * len(obj)) % tuple(obj)) + pad + "]")
+    for v in obj:
+        out.append(lead)
+        _render(v, out, inner)
+        lead = sep
+    out.append(pad + "]")
 
 
 def _finite(text: str) -> str:
@@ -73,7 +81,8 @@ def _finite(text: str) -> str:
 
 def dumps(obj, pretty: bool = False) -> str:
     """Serialize to JSON with 17-significant-digit floats."""
-    return _render(obj, pretty, 0)
+    _render(obj, out := [], "\n" if pretty else "")
+    return "".join(out)
 
 
 def loads(text: str):

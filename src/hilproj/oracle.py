@@ -3,39 +3,33 @@
 Three tools, all deliberately ignorant of the analytic derivative formulas:
 
 * :func:`fd_derivative` estimates the one-sided directional derivative from
-  difference quotients (P(x + t v) - P(x)) / t on the dyadic step schedule
-  t = 2^-k, k = 4..26, declaring convergence when the last three quotients
-  agree pairwise and reporting a Richardson-extrapolated limit. Quotients
-  use t > 0 only, matching the one-sided limit. When the sequence does not
-  settle the estimate is returned with converged=False and no value; a
-  limit is never fabricated. The trail is projected as one (23, d) batch
-  through ``project_sequence``'s kernel, which equals a per-step ``project``
-  loop bit for bit on every set.
-* :func:`variational_certificate` checks the defining inequality of the
-  projection, <x - u, u - z> >= 0 against sampled members z of the set.
+  difference quotients (P(x + t v) - P(x)) / t over t = 2^-k > 0, k = 4..26.
+  It declares convergence when the last three agree pairwise and reports a
+  Richardson-extrapolated limit; a trail that does not settle gives
+  converged=False and no value, never a fabricated limit. The trail stays one
+  (23, d) array: checked once, projected by the set's kernel in one call (bit
+  for bit a per-step ``project`` loop); only its 23 quotients become points.
+* :func:`variational_certificate` checks the projection's defining
+  inequality <x - u, u - z> >= 0 against sampled members z of the set.
 * :func:`property_battery` runs the operator-level properties (variational,
-  strengthened variational, monotone, nonexpansive plus its dichotomy,
-  idempotent, positively homogeneous, and the sphere direction partition)
-  on seeded random inputs and reports failure counts and worst residuals.
-
-The battery takes every residual on coefficient arrays through the kernels of
-``inner`` and ``norm``, so its reports keep the bits of the point formulas.
-It keeps one residual list per property and reports its trials, its
-failures (residuals floored at 0 that exceed the property's bound in
-``_THRESHOLDS``) and its worst floored residual. It draws its inputs from
-each set's ``_sample_pair(rng, covered)`` (see :mod:`hilproj.sets`), over the
-case regions of Thm 4.1 and Thm 5.1. The partition probe steps by t r and
-reports drift / r, so every radius is probed alike. Identical seeds give
-bit-identical reports.
+  strengthened variational, monotone, nonexpansive and its dichotomy,
+  idempotent, positively homogeneous, the sphere direction partition) on
+  seeded pairs from each set's ``_sample_pair``. It takes every residual on
+  coefficient arrays through the kernels of ``inner`` and ``norm``, so its
+  reports keep the point formulas' bits, and reports per property its
+  trials, its failures (floored residuals above the bound in
+  ``_THRESHOLDS``) and its worst floored residual. The partition probe steps
+  by t r and reports drift / r, so every radius is probed alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HilbertPoint, _dot, _norm, _points_from_rows
+from .core import DEFAULT_TOL, HilbertPoint, _dot, _finite, _norm, _trusted_rows
 from .derivatives import classify_direction, derivative
 from .errors import NotInSet
 from .sets import (  # random_point and cone_region_point: importable from here too
@@ -70,21 +64,14 @@ def fd_derivative(s, x, v, tol: float = 1e-6) -> OracleEstimate:
     """Difference-quotient estimate of the directional derivative at x along v."""
     flat, xp, vp, _ = _flat_direction(s, x, v, tol)
     base = project(flat, xp)
-    batch = _points_from_rows(xp.coeffs + _STEPS[:, None] * vp.coeffs, xp.weights)
-    trail = flat._project_rows(batch)
-    quotients = (1.0 / _STEPS)[:, None] * (np.array([u.coeffs for u in trail]) - base.coeffs)
-    steps = list(zip(_STEPS.tolist(), _points_from_rows(quotients, base.weights)))
+    # the (23, d) step rows, checked once and projected by the set's kernel in one call
+    quotients = flat._project_array(_finite(xp.coeffs + _STEPS[:, None] * vp.coeffs)) - base.coeffs
+    quotients *= (1.0 / _STEPS)[:, None]
+    steps = tuple(zip(_STEPS.tolist(), _trusted_rows(_finite(quotients), repeat(base.weights))))
     residual = float(np.ptp(quotients[-3:], axis=0).max())
     converged = residual <= tol
-    value = None
-    if converged:
-        value = 2.0 * steps[-1][1] - steps[-2][1]
-    return OracleEstimate(
-        value=value,
-        step_sequence=tuple(steps),
-        converged=converged,
-        residual=residual,
-    )
+    value = 2.0 * steps[-1][1] - steps[-2][1] if converged else None
+    return OracleEstimate(value=value, step_sequence=steps, converged=converged, residual=residual)
 
 
 def variational_certificate(s, x, u, samples: int = 1000, rng=None) -> dict:

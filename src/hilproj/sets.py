@@ -1,48 +1,38 @@
 """Closed convex sets: their metric projections and exact membership geometry.
 
-Five set variants are supported: closed balls, the positive cone of a
-truncated orthonormal basis, spans of orthonormal generators, and the two
-Bochner constructions (pointwise positive cone, subspace of constant
-functions). Each variant is a class that owns its rules as private methods:
-projection, one placement ``_locate`` per argument (-1 interior, 0 boundary, 1
-outside, and what it formed: a ball's x - c and norm, a span's P(x); ``_project``
-takes that back and ``_inverse_member`` the pair: no query places a point
-twice), closed-form inverse-image membership (internal points have the inverse
-image {y}, cuticle points a larger one), the facts behind Lem 3.1 and Prop 3.2,
-member sampling, the variational slack (1e-9 r^2 on a ball, 1e-9 elsewhere) and
-the oracle's test pairs over the case regions of Thm 4.1 and Thm 5.1, with
-margins relative to the radius. The public functions delegate to them. A single
-projection forms one array: the ball's pull-back scales and shifts x - c in
-place into P(x); the cone clips; the span takes one product. A ball's distance
-forms P(x) in ``core._scratch`` and subtracts it from x in place, a cone's takes
-min(x, 0) there, x - P(x) up to signs of zero; every other set's is ``_Rules``'
-||x - P(x)||, and a span projects a batch point by point.
+Five variants: closed balls, the positive cone of a truncated orthonormal
+basis, spans of orthonormal generators, and the Bochner pointwise cone and
+constant functions. Each is a class that owns its rules over one base,
+``_Rules``: projection, one placement ``_locate`` per argument (-1 interior, 0
+boundary, 1 outside, and what it formed, which ``_project`` and
+``_inverse_member`` take back, so no query places a point twice), closed-form
+inverse images (internal points have the inverse image {y}, cuticle points a
+larger one), the facts behind Lem 3.1 and Prop 3.2, member sampling, the
+variational slack (1e-9 r^2 on a ball, 1e-9 elsewhere) and the oracle's test
+pairs over the case regions of Thm 4.1 and Thm 5.1. Public functions delegate.
 
 * ball: the identity up to 1e-12 r beyond the sphere, the radial pull-back
   c + (r/||x-c||)(x-c) further out; at a sphere point y the inverse image is
-  the outward ray y + t(y - c), t >= 0; ``_place`` and ``_side`` hold the
-  sphere band tol r and the tangent band tol r ||v|| of the Up/Down test;
-* cone: the coordinatewise clip at zero, which maps -0.0 to +0.0; x
-  projects onto y iff x agrees with y on the strictly positive coordinates
-  and is nonpositive on the zero coordinates;
-* subspace span: the inverse image of y is y + D-perp;
-* Bochner cone: the cone rules on the k*d flat coordinates;
-* Bochner constants: x projects onto the constant y iff E(x) equals y's
-  constant value.
+  the ray y + t(y - c), t >= 0; ``_place`` and ``_side`` hold the sphere band
+  tol r and the tangent band tol r ||v|| of the Up/Down test;
+* cone: the clip at zero (-0.0 maps to +0.0); x projects onto y iff x agrees
+  with y where y > 0 and is nonpositive where y = 0;
+* span: the inverse image of y is y + D-perp; Bochner cone: the cone rules on
+  the k*d flat coordinates; Bochner constants: x projects onto the constant y
+  iff E(x) equals y's value.
 
-The Bochner sets are adapters. They accept a BochnerFunction or its flattened
-weighted coefficient vector, and give a non-point one text before reading it.
-Projection reads either form as one (k, d) array without a copy and returns
-its result in the form of the argument. Every other query (membership, point
-classes, inverse images, derivatives, the variational certificate) passes
-:func:`_flat_form` once, which checks the space, the per-atom dimension and
-the weights and names the flat set whose rules then run on the flat points:
-the positive cone of the k*d coordinates for the pointwise cone (its rules
-ignore the weights), and the constants themselves, whose rules take one
-mu-weighted expectation kernel. A ball, cone or span argument of a query, a
-projection or a paper helper passes the same door before any of it is read: a
-query's tol is checked first, a non-point or a wrong dimension gets one text,
-then two weightings are turned away; centres and generators check their own.
+A single projection forms one array. A batch goes through one array kernel per
+flat set, ``_project_array``, rows in and rows out; ``project_sequence`` wraps
+its rows (a ball's inside the band as given), and the oracle's step trail
+calls it directly. A Bochner batch of one per-atom dimension is one (n, k, d)
+array. A ball's or cone's distance forms its residual in ``core._scratch``;
+other sets take ``_Rules``' ||x - P(x)||. A Bochner set takes a
+BochnerFunction or its flattened point and projects either as one (k, d) array
+in the argument's form; every other query passes the door :func:`_flat_form`
+once: a query's tol, then one text for a non-point or a wrong dimension (or
+space), then two weightings turned away. It names the flat set whose rules run
+on flat points: the positive cone of the k*d coordinates, or the constants
+themselves.
 """
 
 from __future__ import annotations
@@ -167,12 +157,12 @@ def _check_each(xs, check) -> list:
     return out
 
 
-def _gather(s, xs, check, w=...) -> np.ndarray:
+def _gather(s, xs, check, w) -> np.ndarray:
     """The batch's coefficients as one fresh (n, s.dim) array: one pass takes points of
-    that dimension that all carry the weights object w (any, for w = ...); check(x) on
+    that dimension that all carry the weights w, or equal ones (any, for w = ...); check(x) on
     each element of another batch raises as project does, prefixed ``element i:``, or passes."""
     try:
-        rows = np.array([x.coeffs for x in xs if w is ... or x.weights is w])
+        rows = np.array([x.coeffs for x in xs if w is ... or x.weights is w or np.array_equal(x.weights, w)])
     except (AttributeError, ValueError):  # a non-point, or ragged dimensions
         rows = None
     if rows is None or rows.shape != (len(xs), s.dim):
@@ -255,12 +245,13 @@ def cone_region_point(cone: PositiveCone, region: str, rng) -> HilbertPoint:
 
 
 class _Rules:
-    """What every set shares: the door; ||x - P(x)|| and batch projection element by element, which
-    only kernels replace (the ball's and cone's distance; ball, cone and Bochner batches); membership
-    and the interior test, read from the one placement ``_locate(x, tol)``: -1 interior, 0 boundary,
-    1 outside, and what it formed for ``_project`` (a span's P(x), a ball's x - c, spent, and norm)."""
+    """What every set shares: the door; ||x - P(x)||, which only the ball's and cone's kernels replace;
+    batch projection, the set's ``_project_array`` on the gathered rows (a ball and a Bochner set wrap
+    their own); membership and the interior test, read from the one placement ``_locate(x, tol)``: -1
+    interior, 0 boundary, 1 outside, and what it formed for ``_project`` (a span's P(x), a ball's x - c)."""
 
     _vi_slack = VI_SLACK
+    _weights = ...  # the weights a batch gathers in one pass: ... for any (the cone)
 
     def _flat_args(self, *points) -> tuple:
         """_flat_form's (self, *points): each a point of the set's dimension, then one weighting."""
@@ -278,7 +269,9 @@ class _Rules:
         return _gap(x, self._project(x))
 
     def _project_rows(self, xs) -> list:
-        return _check_each(xs, self._project)
+        rows = self._project_array(_gather(self, xs, self._project, self._weights))
+        rows.setflags(write=False)
+        return _trusted_rows(rows, (x.weights for x in xs))
 
     def _contains(self, x, tol: float) -> bool:
         return self._locate(x, tol)[0] <= 0
@@ -356,26 +349,30 @@ class ClosedBall(_Rules):
         p = self._pull_back(x, self._offset(x, _scratch(self.dim)))
         return 0.0 if p is None else _finite_norm(x.weights, np.subtract(x.coeffs, p, out=p))
 
-    def _project_rows(self, xs) -> list:
+    def _pull_back_rows(self, rows, out) -> tuple:
+        """(indices of the rows outside the band, their P rows as _pull_back forms each), x - c in out."""
         c = self.center
-        diff = _gather(self, xs, self._check, c.weights)
-        diff -= c.coeffs
+        diff = np.subtract(rows, c.coeffs, out=out)
         wdiff = diff if c.weights is None else c.weights * diff
-        # one np.dot per row, as norm() takes it, so the band test and the
-        # radial scale agree with _project bit for bit
+        # one np.dot per row, as norm() takes it, so the band test and the radial scale agree with _project
         dist = np.sqrt(np.maximum((wdiff[:, None, :] @ diff[:, :, None])[:, 0, 0], 0.0))
         if not math.isfinite(dist.max()):  # a finite dist proves its row finite (_finite_norm)
             _finite(diff)
         outside = np.flatnonzero(self._place(dist, _SPHERE_BAND) > 0)
-        # points inside the band are their own projections, as in _project; the
-        # rest are formed as _project forms them, so finite, and share the
-        # centre's weights, which every row was checked against
-        out = list(xs)
-        rows = diff[outside]
-        rows *= (self.radius / dist[outside])[:, None]
-        rows += c.coeffs
-        rows.setflags(write=False)
-        for i, p in zip(outside, _trusted_rows(rows, repeat(c.weights))):
+        return outside, diff[outside] * (self.radius / dist[outside])[:, None] + c.coeffs
+
+    def _project_array(self, rows) -> np.ndarray:
+        outside, moved = self._pull_back_rows(rows, None)
+        out = rows.copy()  # a row inside the band is its own projection
+        out[outside] = moved
+        return out
+
+    def _project_rows(self, xs) -> list:
+        rows = _gather(self, xs, self._check, self.center.weights)
+        outside, moved = self._pull_back_rows(rows, rows)
+        moved.setflags(write=False)
+        out = list(xs)  # a point inside the band is returned as given; the rest carry the centre's weights
+        for i, p in zip(outside, _trusted_rows(moved, repeat(self.center.weights))):
             out[i] = p
         return out
 
@@ -451,10 +448,7 @@ class PositiveCone(_Rules):
         _flat_form(self, x)
         return _finite_norm(x.weights, np.minimum(x.coeffs, 0.0, out=_scratch(x.dim)))
 
-    def _project_rows(self, xs) -> list:
-        rows = clip_nonnegative(_gather(self, xs, lambda x: _flat_form(self, x)))
-        rows.setflags(write=False)  # the clip of checked points is finite
-        return _trusted_rows(rows, (x.weights for x in xs))
+    _project_array = staticmethod(clip_nonnegative)  # the clip of checked rows is finite
 
     def _locate(self, x, tol: float) -> tuple:
         m = float(x.coeffs.min())
@@ -542,6 +536,9 @@ class SubspaceSpan(_Rules):
     def dim(self) -> int:
         return self.ambient_dim
 
+    def __reduce__(self):  # copies and pickles rebuild through the constructor: a read-only _basis
+        return SubspaceSpan, (self.generators, self.ambient_dim)
+
     @property
     def n_generators(self) -> int:
         return len(self.generators)
@@ -565,6 +562,10 @@ class SubspaceSpan(_Rules):
 
     def _project(self, x, u=None):
         return span_component(self, _flat_form(self, x)[1]) if u is None else _trusted(u, x.weights)
+
+    def _project_array(self, rows) -> np.ndarray:
+        # one product per row, as _component takes it: a stacked X W G^T G rounds differently
+        return _finite(np.array([self._coords(r) @ self._basis for r in rows]))
 
     def _component(self, x) -> np.ndarray:
         """Sum of <x, u_i> u_i as one fresh array, after x's weighting is checked."""
@@ -689,8 +690,7 @@ class BochnerPointwiseCone(_BochnerSet):
     def _flat_set(self, d: int) -> PositiveCone:
         return bo._kept(self.space, (PositiveCone, d), lambda: PositiveCone(self.space.n_atoms * d))
 
-    def _project_atoms(self, values: np.ndarray) -> np.ndarray:
-        return clip_nonnegative(values)  # the clip of checked values is finite: no scan
+    _project_atoms = staticmethod(clip_nonnegative)  # the clip of checked values is finite: no scan
 
     def _member_rows(self, n: int, rng, anchors) -> tuple:
         d = self._sample_dim(anchors)
@@ -720,6 +720,9 @@ class BochnerConstantSubspace(_BochnerSet):
         # only the mean can overflow, so only it is scanned; its repeat is a real array that flatten views
         mean = _finite(bo._mean(self.space, values))
         return np.repeat(mean[..., None, :], self.space.n_atoms, axis=-2)
+
+    def _project_array(self, rows) -> np.ndarray:
+        return self._project_atoms(rows.reshape(len(rows), self.space.n_atoms, -1)).reshape(len(rows), -1)
 
     def _spread(self, values: np.ndarray) -> float:
         """||f - E(f)||, the distance of f to the constants."""
@@ -819,15 +822,12 @@ def distance(s, x) -> float:
 
 
 def project_sequence(s, xs) -> list:
-    """Projection of every element; failures carry the offending index.
+    """Projection of every element, equal to element-wise :func:`project` bit for bit.
 
-    A ball or cone takes points of its dimension (on a ball, carrying the
-    centre's weights object) in one pass; other batches are checked as
-    :func:`project` checks each element, raising its exception type and
-    message prefixed ``element i:``. The result equals element-wise
-    :func:`project` bit for bit on every set; its points are read-only rows of
-    one array, and Bochner results mirror each element's form. A span
-    projects point by point: a stacked product rounds differently.
+    A batch is gathered as one array in one pass when its points have the set's dimension
+    (and weights, on a ball or span); else each element is checked as :func:`project` checks it,
+    its error prefixed ``element i:``. Results are read-only rows of the kernel's array
+    (a ball's points inside the band are returned as given); Bochner ones mirror each form.
     """
     xs = list(xs)
     return s._project_rows(xs) if xs else []
