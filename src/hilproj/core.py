@@ -41,17 +41,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotUnitVector, OutOfDomain, WeightMismatch
 
-__all__ = [
-    "DEFAULT_TOL",
-    "HilbertPoint",
-    "inner",
-    "modulus_convexity",
-    "modulus_smoothness",
-    "norm",
-    "norm_directional_derivative",
-    "zeros_like",
-]
-
 DEFAULT_TOL = 1e-9
 
 
@@ -191,7 +180,7 @@ def zeros_like(x: HilbertPoint) -> HilbertPoint:
     return _proven(np.zeros(x.dim), x.weights)
 
 
-def same_weights(x: HilbertPoint, y: HilbertPoint) -> bool:
+def _same_weights(x: HilbertPoint, y: HilbertPoint) -> bool:
     """Exact weighting equality: both absent, or element-wise equal."""
     if x.weights is y.weights:
         return True
@@ -203,7 +192,7 @@ def same_weights(x: HilbertPoint, y: HilbertPoint) -> bool:
 def _check_compatible(x: HilbertPoint, y: HilbertPoint):
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimensions {x.dim} and {y.dim} differ")
-    if not same_weights(x, y):
+    if not _same_weights(x, y):
         raise WeightMismatch("points carry different inner-product weights")
 
 
@@ -305,3 +294,7 @@ def norm_directional_derivative(x: HilbertPoint, v: HilbertPoint, tol: float = D
     if abs(nv - 1.0) > tol:
         raise NotUnitVector(f"||v|| = {nv} is not 1 within {tol}")
     return inner(x, v)
+
+
+__all__ = ["DEFAULT_TOL", *sorted(n for n, obj in globals().items()
+                              if n[0] != "_" and getattr(obj, "__module__", None) == __name__)]

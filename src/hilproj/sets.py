@@ -56,12 +56,12 @@ from .core import (
     _norm,
     _points_from_rows,
     _proven,
+    _same_weights,
     _scratch,
     _trusted,
     _trusted_rows,
     inner,
     norm,
-    same_weights,
 )
 from .errors import (
     DimensionMismatch,
@@ -73,37 +73,6 @@ from .errors import (
     ZeroDirection,
     ZeroVertex,
 )
-
-__all__ = [
-    "BochnerConstantSubspace",
-    "BochnerPointwiseCone",
-    "ClosedBall",
-    "DirectionClass",
-    "PointClass",
-    "PositiveCone",
-    "SubspaceSpan",
-    "ball_inverse_ray",
-    "ball_region_point",
-    "classify_point",
-    "cone_inverse_check",
-    "cone_inverse_translation_check",
-    "cone_region_point",
-    "contains",
-    "distance",
-    "dual_cone_contains",
-    "in_inverse_image",
-    "in_pointwise_cone",
-    "is_bochner_set",
-    "orthogonal_cone",
-    "project",
-    "project_constants",
-    "project_pointwise_cone",
-    "project_sequence",
-    "random_point",
-    "sample_points",
-    "span_component",
-    "sphere_direction",
-]
 
 _ORTHONORMAL_TOL = 1e-9
 # slack of the sampled variational inequality <x - u, u - z> >= -VI_SLACK
@@ -261,7 +230,7 @@ class _Rules:
                 dims = "/".join(str(getattr(q, "dim", type(q).__name__)) for q in points)
                 raise DimensionMismatch(f"{self._noun} of dimension {dim} got {dims}")
         for p in points[1:]:
-            if not same_weights(points[0], p):
+            if not _same_weights(points[0], p):
                 _check_compatible(points[0], p)
         return (self, *points)
 
@@ -319,7 +288,7 @@ class ClosedBall(_Rules):
 
     def _check(self, x):
         """x's dimension as the door tests it, then its weighting against the centre's."""
-        if getattr(x, "dim", None) != self.center.dim or not same_weights(x, self.center):
+        if getattr(x, "dim", None) != self.center.dim or not _same_weights(x, self.center):
             _check_compatible(_flat_form(self, x)[1], self.center)
 
     def _offset(self, x, out=None) -> tuple:
@@ -517,7 +486,7 @@ class SubspaceSpan(_Rules):
             for u in gens[1:]:
                 if u.dim != d:
                     raise ValueError("generators must share one dimension")
-                if not same_weights(gens[0], u):
+                if not _same_weights(gens[0], u):
                     raise ValueError("generators must share one weight vector")
             if self.ambient_dim is not None and _whole(self.ambient_dim, "ambient_dim") != d:
                 raise ValueError("ambient_dim disagrees with generator dimension")
@@ -561,7 +530,7 @@ class SubspaceSpan(_Rules):
         return (rows if w is None else rows * w) @ self._basis.T
 
     def _project(self, x, u=None):
-        return span_component(self, _flat_form(self, x)[1]) if u is None else _trusted(u, x.weights)
+        return _trusted(self._component(_flat_form(self, x)[1]) if u is None else u, x.weights)
 
     def _project_array(self, rows) -> np.ndarray:
         # one product per row, as _component takes it: a stacked X W G^T G rounds differently
@@ -799,6 +768,8 @@ def _flat_direction(s, x, v, tol: float) -> tuple:
 
 def span_component(s: SubspaceSpan, x: HilbertPoint) -> HilbertPoint:
     """Sum of <x, u_i> u_i over the generators."""
+    if not isinstance(x, HilbertPoint):  # a non-point takes the door's text; a point keeps _component's
+        _flat_form(s, x)
     return _trusted(s._component(x), x.weights)
 
 
@@ -974,3 +945,8 @@ def sample_points(s, n: int, rng, include=()) -> list:
     anchors = _flat_form(s, *include)[1:] if include else ()
     z, weights = _member_matrix(s, n, rng, anchors)
     return _points_from_rows(z, weights)
+
+
+# clip_nonnegative, the cone's kernel on raw arrays, stays reachable here but out of the package
+__all__ = sorted(n for n, obj in globals().items()
+                 if n[0] != "_" and n != "clip_nonnegative" and getattr(obj, "__module__", None) == __name__)

@@ -137,6 +137,20 @@ def test_the_empty_span_component_checks_the_dimension():
         span_component(SubspaceSpan((), ambient_dim=3), pt(1.0, 2.0))
 
 
+@pytest.mark.parametrize("span", [SubspaceSpan((pt(1.0, 0.0),)), SubspaceSpan((), ambient_dim=2)],
+                         ids=["span", "empty_span"])
+@pytest.mark.parametrize("arg,name", [("x", "str"), (None, "NoneType"), ([1.0, 2.0], "list"),
+                                      (BochnerFunction(DiscreteProbabilitySpace(("a", "b"), np.array([0.5, 0.5])),
+                                                       (pt(1.0, 2.0), pt(0.0, 1.0))), "BochnerFunction")],
+                         ids=["str", "None", "list", "function"])
+def test_span_component_sends_a_non_point_through_the_door(span, arg, name):
+    # the door's text, as every span query reports a non-point; points keep _component's texts
+    with pytest.raises(DimensionMismatch) as err:
+        span_component(span, arg)
+    assert type(err.value) is DimensionMismatch
+    assert str(err.value) == f"span of dimension 2 got {name}"
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_the_inverse_ray_is_y_plus_t_times_y_minus_c_bit_for_bit(weighted):
     rng = np.random.default_rng(26)
